@@ -24,6 +24,7 @@
 
 #include "circuits/suite.hpp"
 #include "core/polaris.hpp"
+#include "masking/masking.hpp"
 #include "techlib/techlib.hpp"
 #include "tvla/tvla.hpp"
 
@@ -138,6 +139,20 @@ TEST(Golden, TvlaMemctrlSequential) {
   const auto report =
       tvla::run_fixed_vs_random(design.netlist, lib(), config);
   check_series("tvla_memctrl.csv", "gate,t", report.t_values());
+}
+
+TEST(Golden, TvlaSquareMasked) {
+  // Every maskable gate replaced by a composite: the composite cells share
+  // their original gate's group, so this pins the multi-member (float
+  // moment) readout that the unmasked series above never reach.
+  const auto design = circuits::get_design("square", 0.4);
+  std::vector<netlist::GateId> targets(design.netlist.gate_count());
+  for (netlist::GateId g = 0; g < targets.size(); ++g) targets[g] = g;
+  const auto masked = masking::apply_masking(design.netlist, targets);
+  ASSERT_GT(masked.masked_gates, 0u);
+  const auto report = tvla::run_fixed_vs_random(masked.design, lib(),
+                                                tvla_golden_config());
+  check_series("tvla_square_masked.csv", "gate,t", report.t_values());
 }
 
 // --- score_gates through a fixed-seed trained model --------------------------
