@@ -2,12 +2,21 @@
 // Gates exceeding threshold (+-4.5) are considered as leaky." Prints the
 // per-gate t-value series (binned ASCII profile) and exports the raw series
 // as CSV.
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "circuits/aes_sbox.hpp"
 #include "engine/thread_pool.hpp"
+#include "masking/masking.hpp"
+#include "power/power_model.hpp"
+#include "power/sample_plan.hpp"
 #include "sim/compiled.hpp"
 #include "sim/simd.hpp"
 #include "util/csv.hpp"
@@ -15,6 +24,107 @@
 #include "util/timer.hpp"
 
 using namespace polaris;
+
+namespace {
+
+/// "model name" from /proc/cpuinfo, "unknown" elsewhere. Quotes and
+/// backslashes are dropped so the value is safe inside a JsonLine.
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) break;
+    std::string model;
+    for (const char c : line.substr(colon + 1)) {
+      if (c != '"' && c != '\\') model += c;
+    }
+    const auto first = model.find_first_not_of(' ');
+    return first == std::string::npos ? "unknown" : model.substr(first);
+  }
+  return "unknown";
+}
+
+/// Masked-design readout probe: the AES S-box layer with every maskable
+/// gate replaced by a composite, so most groups take the multi-member
+/// (float moment) readout instead of the integer popcount path the kernel
+/// probe times. Runs the campaign with the portable lane scatter and, when
+/// the SIMD policy allows it, again with the AVX2 scatter, and checks that
+/// both give bit-identical t-values.
+void masked_readout_probe(const bench::BenchSetup& setup,
+                          const netlist::Netlist& sbox) {
+  std::vector<netlist::GateId> targets;
+  for (netlist::GateId g = 0; g < sbox.gate_count(); ++g) {
+    if (netlist::is_maskable(sbox.gate(g).type)) targets.push_back(g);
+  }
+  const auto masked = masking::apply_masking(sbox, targets);
+  const auto compiled = sim::compile(masked.design);
+  const std::size_t multi_groups =
+      power::SamplePlan(*compiled, power::PowerModel(masked.design, setup.lib))
+          .multi_group_count();
+
+  tvla::TvlaConfig config;
+  config.traces = setup.traces;
+  config.seed = setup.seed;
+  config.noise_std_fj = 1.0;
+  config.threads = setup.threads;
+  config.lane_words = setup.lane_words;
+  const std::size_t lane_words = config.lane_words != 0
+                                     ? config.lane_words
+                                     : sim::default_lane_words();
+
+  const sim::SimdMode entry_mode = sim::simd_mode();
+  const bool run_avx2 = sim::avx2_enabled();
+  const auto timed_run = [&](sim::SimdMode mode, double& seconds) {
+    sim::set_simd_mode(mode);
+    util::Timer timer;
+    auto report = tvla::run_fixed_vs_random(compiled, setup.lib, config);
+    seconds = timer.seconds();
+    return report;
+  };
+  double portable_seconds = 0.0, avx2_seconds = 0.0;
+  const auto portable = timed_run(sim::SimdMode::kPortable, portable_seconds);
+  bool identical = true;
+  if (run_avx2) {
+    const auto avx2 = timed_run(sim::SimdMode::kAvx2, avx2_seconds);
+    const auto bits = [](double t) { return std::bit_cast<std::uint64_t>(t); };
+    identical = std::ranges::equal(portable.t_values(), avx2.t_values(), {},
+                                   bits, bits);
+  }
+  sim::set_simd_mode(entry_mode);
+
+  const auto rate = [&](double seconds) {
+    return seconds > 0.0 ? static_cast<double>(setup.traces) / seconds : 0.0;
+  };
+  char avx2_text[32] = "not run";
+  if (run_avx2) {
+    std::snprintf(avx2_text, sizeof(avx2_text), "%.3fs", avx2_seconds);
+  }
+  std::printf("masked readout probe: aes_sbox x4 masked (%zu gates, %zu "
+              "multi groups), %zu traces: portable %.3fs, avx2 %s, "
+              "t-values %s\n\n",
+              masked.design.gate_count(), multi_groups, setup.traces,
+              portable_seconds, avx2_text,
+              identical ? "bit-identical" : "DIFFER");
+  bench::JsonLine("fig4_tvla_masked")
+      .field("design", "aes_sbox_masked")
+      .field("gates", masked.design.gate_count())
+      .field("multi_groups", multi_groups)
+      .field("traces", setup.traces)
+      .field("threads", engine::ThreadPool::resolve_threads(config.threads))
+      .field("lane_words", lane_words)
+      .field("nproc", std::thread::hardware_concurrency())
+      .field("cpu_model", cpu_model())
+      .field("avx2_supported", sim::avx2_supported() ? 1 : 0)
+      .field("avx2_built", sim::avx2_built() ? 1 : 0)
+      .field("portable_traces_per_sec", rate(portable_seconds), 1)
+      .field("avx2_traces_per_sec", rate(avx2_seconds), 1)
+      .field("bit_identical", identical ? 1 : 0)
+      .print();
+}
+
+}  // namespace
 
 int main() {
   const auto setup = bench::BenchSetup::from_env();
@@ -107,6 +217,7 @@ int main() {
           .field("campaign_seconds", adaptive_seconds)
           .print();
     }
+    masked_readout_probe(setup, sbox);
     // CI bench-smoke runs just the kernel probe: the full Fig. 4 flow below
     // trains a model first, which a perf-recording job does not need.
     const char* kernel_only = std::getenv("POLARIS_BENCH_KERNEL_ONLY");

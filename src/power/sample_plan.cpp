@@ -2,9 +2,40 @@
 
 #include <algorithm>
 
+#include "sim/simd.hpp"
+
 namespace polaris::power {
 
 using netlist::GateId;
+
+namespace {
+
+/// The portable lane scatter (lane_scatter.hpp): walks the set bits.
+void lane_scatter_portable(const MultiOp* ops, std::size_t count,
+                           const std::uint64_t* toggle_words,
+                           std::size_t lane_words, std::size_t active_words,
+                           double* lane_sums) {
+  constexpr std::size_t kLanesPerWord = 64;
+  for (const MultiOp* op = ops; op != ops + count; ++op) {
+    const std::uint64_t* block =
+        toggle_words + static_cast<std::size_t>(op->toggle_slot) * lane_words;
+    double* sums =
+        lane_sums + static_cast<std::size_t>(op->multi) * lane_words *
+                        kLanesPerWord;
+    for (std::size_t w = 0; w < active_words; ++w) {
+      std::uint64_t bits = block[w];
+      if (bits == 0) continue;
+      double* lane_sum = sums + w * kLanesPerWord;
+      while (bits != 0) {
+        lane_sum[static_cast<std::size_t>(__builtin_ctzll(bits))] +=
+            op->energy;
+        bits &= bits - 1;
+      }
+    }
+  }
+}
+
+}  // namespace
 
 SamplePlan::SamplePlan(const sim::CompiledDesign& compiled,
                        const PowerModel& power) {
@@ -48,6 +79,19 @@ SamplePlan::SamplePlan(const sim::CompiledDesign& compiled,
           MultiOp{compiled.toggle_slot(g), multi, power.gate_energy(g)});
     }
   }
+}
+
+void SamplePlan::scatter_multis(const std::uint64_t* toggle_words,
+                                std::size_t lane_words,
+                                std::size_t active_words,
+                                double* lane_sums) const {
+  if (multis_.empty()) return;
+  detail::LaneScatterFn scatter = &lane_scatter_portable;
+  if (sim::avx2_enabled()) {
+    if (const auto avx2 = detail::avx2_lane_scatter()) scatter = avx2;
+  }
+  scatter(multis_.data(), multis_.size(), toggle_words, lane_words,
+          active_words, lane_sums);
 }
 
 }  // namespace polaris::power

@@ -17,20 +17,28 @@
 // buckets carry float order, and that order is preserved.
 //
 // Blocked readout (sample()): one call ingests a whole K-word lane block -
-// up to K batches of 64 traces evaluated in one simulator pass. Per multi
-// group, samples are pushed word-major (ascending lane word = ascending
-// batch index), lane-ascending within a word: exactly the batch-major
-// sample sequence the one-word-at-a-time path produced, so the Pebay
+// up to K batches of 64 traces evaluated in one simulator pass. Multi
+// members are first scattered into per-(group, word, lane) energy sums
+// (power/lane_scatter.hpp: portable or AVX2, identical sums). Then, per
+// multi group, samples are pushed word-major (ascending lane word =
+// ascending batch index), lane-ascending within a word: exactly the
+// batch-major sample sequence the one-word-at-a-time path produced, so the
 // moment updates see an identical float op order at every block width.
+// The push runs over tiles of kPushTile groups: for each (word, lane) every
+// group of the tile takes its sample before the next lane. That
+// interleaves groups but not any one accumulator's sequence, and it lets
+// the independent division chains of a tile's accumulators overlap.
 // Tail contract: only the first `active_words` words of a block are
 // sampled; trailing words (trace counts not divisible by 64*K) are
 // evaluated but never read, and their lane_sums scratch stays zero.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "netlist/netlist.hpp"
+#include "power/lane_scatter.hpp"
 #include "power/power_model.hpp"
 #include "sim/compiled.hpp"
 
@@ -48,13 +56,8 @@ class SamplePlan {
     std::uint32_t toggle_slot;
     netlist::GateId group;
   };
-  /// One member of a multi-member group: accumulate `energy` into the
-  /// group's per-lane sums for each set toggle bit.
-  struct MultiOp {
-    std::uint32_t toggle_slot;
-    std::uint32_t multi;  // dense index into the multi-group space
-    double energy;
-  };
+  /// Multi groups whose samples are pushed together, lane by lane.
+  static constexpr std::size_t kPushTile = 16;
 
   [[nodiscard]] const std::vector<SingleOp>& singles() const { return singles_; }
   [[nodiscard]] const std::vector<MultiOp>& multis() const { return multis_; }
@@ -90,7 +93,8 @@ class SamplePlan {
   /// Singles feed exact integer counters; multi members accumulate
   /// pre-resolved energies per (word, lane) in ascending-GateId order, then
   /// every (word, lane) sample is pushed word-major / lane-ascending per
-  /// group - the accumulation-order contract above.
+  /// group, kPushTile groups at a time - the accumulation-order contract
+  /// above.
   template <class Moments>
   void sample(const std::uint64_t* toggle_words, std::size_t lane_words,
               std::size_t active_words, const std::uint64_t* class_masks,
@@ -118,40 +122,35 @@ class SamplePlan {
       }
       if (any) moments.add_single_ones(op.group, fixed_ones, random_ones);
     }
-    for (const MultiOp& op : multis_) {
-      const std::uint64_t* block =
-          toggle_words + static_cast<std::size_t>(op.toggle_slot) * lane_words;
-      double* sums =
-          lane_sums + static_cast<std::size_t>(op.multi) * lane_words *
-                          kLanesPerWord;
-      for (std::size_t w = 0; w < active_words; ++w) {
-        std::uint64_t bits = block[w];
-        if (bits == 0) continue;
-        double* lane_sum = sums + w * kLanesPerWord;
-        while (bits != 0) {
-          lane_sum[static_cast<std::size_t>(__builtin_ctzll(bits))] +=
-              op.energy;
-          bits &= bits - 1;
-        }
-      }
-    }
+    scatter_multis(toggle_words, lane_words, active_words, lane_sums);
     // Every sampled word contributes one sample per lane to each multi
     // group (possibly zero-valued); push word-major and clear.
-    for (std::size_t m = 0; m < multi_group_ids_.size(); ++m) {
+    const std::size_t multi_count = multi_group_ids_.size();
+    const std::size_t group_stride = lane_words * kLanesPerWord;
+    for (std::size_t m0 = 0; m0 < multi_count; m0 += kPushTile) {
+      const std::size_t m1 = std::min(m0 + kPushTile, multi_count);
       for (std::size_t w = 0; w < active_words; ++w) {
         const std::uint64_t mask = class_masks[w];
-        double* lane_sum =
-            lane_sums + (m * lane_words + w) * kLanesPerWord;
+        double* word_sums = lane_sums + w * kLanesPerWord;
         for (std::size_t lane = 0; lane < kLanesPerWord; ++lane) {
           const bool fixed = ((mask >> lane) & 1ULL) != 0;
-          moments.add_multi_sample(m, fixed, lane_sum[lane]);
-          lane_sum[lane] = 0.0;
+          for (std::size_t m = m0; m < m1; ++m) {
+            double& sum = word_sums[m * group_stride + lane];
+            moments.add_multi_sample(m, fixed, sum);
+            sum = 0.0;
+          }
         }
       }
     }
   }
 
  private:
+  /// Lane scatter of every multi member (lane_scatter.hpp), AVX2 when
+  /// sim::avx2_enabled().
+  void scatter_multis(const std::uint64_t* toggle_words,
+                      std::size_t lane_words, std::size_t active_words,
+                      double* lane_sums) const;
+
   std::vector<SingleOp> singles_;
   std::vector<MultiOp> multis_;
   std::vector<bool> group_measured_;

@@ -52,14 +52,18 @@ void set_simd_mode(SimdMode mode) {
   mode_slot().store(mode, std::memory_order_relaxed);
 }
 
-bool simd_active(std::size_t lane_words) noexcept {
-  if (lane_words != 4 && lane_words != 8) return false;  // sub-vector widths
+bool avx2_enabled() noexcept {
   switch (simd_mode()) {
     case SimdMode::kPortable: return false;
     case SimdMode::kAvx2: return true;
     case SimdMode::kAuto: return avx2_supported() && avx2_built();
   }
   return false;
+}
+
+bool simd_active(std::size_t lane_words) noexcept {
+  if (lane_words != 4 && lane_words != 8) return false;  // sub-vector widths
+  return avx2_enabled();
 }
 
 const char* simd_name(std::size_t lane_words) noexcept {

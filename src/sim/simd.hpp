@@ -15,6 +15,8 @@
 //    process default to kPortable (the CI portable-fallback leg);
 //  * set_simd_mode() overrides both - the property tests force kPortable
 //    and kAvx2 in turn and assert bit-identical words.
+// The same mode also selects the power readout's AVX2 lane scatter
+// (power/lane_scatter.hpp), so POLARIS_SIMD=off turns every AVX2 path off.
 // Sub-vector widths (1 and 2 words) always take the portable path;
 // simd_name() reports the path a given width would actually use.
 #pragma once
@@ -45,8 +47,13 @@ enum class SimdMode { kAuto, kPortable, kAvx2 };
 /// the build lacks AVX2 (callers probe avx2_supported() && avx2_built()).
 void set_simd_mode(SimdMode mode);
 
+/// True when the current mode lets AVX2 code run at all: kAvx2, or kAuto on
+/// a CPU and build that have it. Width-independent - the power readout's
+/// lane scatter (power/lane_scatter.hpp) works per 64-lane word and keys on
+/// this alone.
+[[nodiscard]] bool avx2_enabled() noexcept;
 /// True when a kernel dispatch at this width takes the AVX2 path under the
-/// current mode.
+/// current mode: avx2_enabled() and a width that fills whole vectors.
 [[nodiscard]] bool simd_active(std::size_t lane_words) noexcept;
 /// "avx2" or "portable" - the path simd_active() resolves to. Bench probes
 /// record this next to traces/sec.

@@ -6,28 +6,28 @@ namespace polaris::tvla {
 
 namespace {
 
+// Order-2 layout: (count, mean, S2) per accumulator. The previous layout
+// ("MOMS") also carried S3/S4; a distinct tag makes a coordinator and a
+// worker from different builds fail loudly instead of misreading fields.
+constexpr char kMomentsTag[] = "MOM2";
+
 void write_accumulator(serialize::Writer& out, const MomentAccumulator& acc) {
   out.u64(acc.count());
   out.f64(acc.mean());
   out.f64(acc.sum2());
-  out.f64(acc.sum3());
-  out.f64(acc.sum4());
 }
 
 MomentAccumulator read_accumulator(serialize::Reader& in) {
   const std::uint64_t n = in.u64();
   const double mean = in.f64();
   const double s2 = in.f64();
-  const double s3 = in.f64();
-  const double s4 = in.f64();
-  return MomentAccumulator::restore(static_cast<std::size_t>(n), mean, s2, s3,
-                                    s4);
+  return MomentAccumulator::restore(static_cast<std::size_t>(n), mean, s2);
 }
 
 }  // namespace
 
 void write_moments(serialize::Writer& out, const CampaignMoments& moments) {
-  out.begin_chunk("MOMS");
+  out.begin_chunk(kMomentsTag);
   out.u64(moments.n_fixed());
   out.u64(moments.n_random());
   out.u64(moments.group_count());
@@ -44,11 +44,11 @@ void write_moments(serialize::Writer& out, const CampaignMoments& moments) {
 }
 
 CampaignMoments read_moments(serialize::Reader& in) {
-  in.enter_chunk("MOMS");
+  in.enter_chunk(kMomentsTag);
   const std::uint64_t n_fixed = in.u64();
   const std::uint64_t n_random = in.u64();
   // Check-before-allocate: a single group is exactly 16 payload bytes, a
-  // multi group two 40-byte accumulators - hostile counts are rejected
+  // multi group two 24-byte accumulators - hostile counts are rejected
   // before any reserve.
   const std::uint64_t groups = in.u64();
   if (groups > in.remaining() / 16) {
@@ -63,7 +63,7 @@ CampaignMoments read_moments(serialize::Reader& in) {
     singles.emplace_back(fixed, random);
   }
   const std::uint64_t multis = in.u64();
-  if (multis > in.remaining() / 80) {
+  if (multis > in.remaining() / 48) {
     throw std::runtime_error("polaris tvla: moments multi-group count "
                              "exceeds payload size");
   }

@@ -14,12 +14,17 @@
 
 namespace polaris::tvla {
 
-/// Writes one "MOMS" chunk holding the full accumulator state.
+/// Writes one "MOM2" chunk holding the full accumulator state:
+///   u64 n_fixed, u64 n_random,
+///   u64 groups,  groups x (u64 single_ones_fixed, u64 single_ones_random),
+///   u64 multis,  multis x (fixed, random) accumulators of
+///                (u64 count, f64 mean, f64 S2) - 24 bytes each.
 void write_moments(serialize::Writer& out, const CampaignMoments& moments);
 
-/// Reads one "MOMS" chunk. Applies the archive's check-before-allocate
-/// policy to the group counts; throws std::runtime_error on malformed
-/// input. The returned object merges bit-identically to the original.
+/// Reads one "MOM2" chunk; the retired order-4 "MOMS" layout is rejected.
+/// Applies the archive's check-before-allocate policy to the group counts;
+/// throws std::runtime_error on malformed input. The returned object
+/// merges bit-identically to the original.
 [[nodiscard]] CampaignMoments read_moments(serialize::Reader& in);
 
 }  // namespace polaris::tvla

@@ -7,6 +7,7 @@
 // end-to-end determinism lock (committed CSVs, byte-stable).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -492,6 +493,58 @@ TEST(CompiledKernel, ForcedPortableMatchesForcedAvx2) {
     sim::set_simd_mode(sim::SimdMode::kAuto);
     EXPECT_EQ(portable_values, avx2_values) << "lane_words=" << lane_words;
     EXPECT_EQ(portable_toggles, avx2_toggles) << "lane_words=" << lane_words;
+  }
+}
+
+TEST(CompiledKernel, ForcedPortableScatterMatchesForcedAvx2) {
+  if (!(sim::avx2_built() && sim::avx2_supported())) {
+    GTEST_SKIP() << "AVX2 unavailable on this build/host";
+  }
+  // A fully masked random netlist puts most groups on the multi-member
+  // readout, whose lane scatter has a portable and an AVX2 form. The
+  // t-values must not depend on which one ran. K=1 runs the AVX2 scatter
+  // beside the portable kernel; 1984 traces (31 batches) leave a tail
+  // block at K=4.
+  circuits::RandomLogicConfig logic;
+  logic.inputs = 18;
+  logic.gates = 220;
+  logic.seed = 61;
+  const auto original = circuits::make_random_logic(logic);
+  std::vector<GateId> targets;
+  for (GateId g = 0; g < original.gate_count(); ++g) {
+    if (netlist::is_maskable(original.gate(g).type)) targets.push_back(g);
+  }
+  const auto masked = masking::apply_masking(original, targets);
+  {
+    const auto compiled = sim::compile(masked.design);
+    const power::PowerModel power(masked.design, lib());
+    const power::SamplePlan plan(*compiled, power);
+    // More than one push tile, the last one partial.
+    ASSERT_GT(plan.multi_group_count(), power::SamplePlan::kPushTile);
+  }
+
+  tvla::TvlaConfig config;
+  config.traces = 1984;
+  config.seed = 91;
+  config.noise_std_fj = 1.0;
+  config.threads = 2;
+  for (const std::size_t lane_words : {1u, 4u}) {
+    config.lane_words = lane_words;
+    sim::set_simd_mode(sim::SimdMode::kPortable);
+    const auto portable =
+        tvla::run_fixed_vs_random(masked.design, lib(), config);
+    sim::set_simd_mode(sim::SimdMode::kAvx2);
+    const auto avx2 = tvla::run_fixed_vs_random(masked.design, lib(), config);
+    sim::set_simd_mode(sim::SimdMode::kAuto);
+    ASSERT_EQ(portable.t_values().size(), avx2.t_values().size());
+    std::size_t nonzero = 0;
+    for (std::size_t g = 0; g < portable.t_values().size(); ++g) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(portable.t_values()[g]),
+                std::bit_cast<std::uint64_t>(avx2.t_values()[g]))
+          << "lane_words=" << lane_words << " group " << g;
+      if (portable.t_values()[g] != 0.0) ++nonzero;
+    }
+    EXPECT_GT(nonzero, 0u);
   }
 }
 

@@ -118,6 +118,69 @@ TEST(DistributedCodec, MomentsRoundTripBitExactly) {
   EXPECT_EQ(bytes, again.finish());
 }
 
+/// Two single groups and two multi groups, every accumulator non-empty.
+tvla::CampaignMoments multi_group_moments() {
+  tvla::CampaignMoments moments(4, 2);
+  moments.add_lane_counts(40, 24);
+  moments.add_single_ones(0, 3, 5);
+  moments.add_single_ones(3, 7, 1);
+  for (int i = 0; i < 9; ++i) {
+    moments.add_multi_sample(0, i % 2 == 0, 0.25 * i);
+    moments.add_multi_sample(1, i % 3 == 0, 1.5 + i);
+  }
+  return moments;
+}
+
+TEST(DistributedCodec, MultiGroupMomentsRoundTripBitExactly) {
+  // A payload that is mostly multi-group accumulators: the decoder's
+  // size check must accept exactly two 24-byte accumulators per group.
+  const auto moments = multi_group_moments();
+  serialize::Writer out;
+  tvla::write_moments(out, moments);
+  const auto bytes = out.finish();
+
+  serialize::Reader in(bytes);
+  const auto back = tvla::read_moments(in);
+  ASSERT_EQ(back.multi_group_count(), 2u);
+  for (std::size_t m = 0; m < 2; ++m) {
+    EXPECT_EQ(back.multi_fixed(m).count(), moments.multi_fixed(m).count());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.multi_random(m).sum2()),
+              std::bit_cast<std::uint64_t>(moments.multi_random(m).sum2()));
+  }
+  serialize::Writer again;
+  tvla::write_moments(again, back);
+  EXPECT_EQ(bytes, again.finish());
+}
+
+TEST(DistributedCodec, RetiredOrder4MomentsLayoutIsRejected) {
+  // The layout before the order-2 accumulator: a "MOMS" chunk whose
+  // accumulators also carried S3/S4 (40 bytes each). A build that still
+  // speaks it must fail loudly, not have its fields read shifted.
+  const auto moments = multi_group_moments();
+  serialize::Writer out;
+  out.begin_chunk("MOMS");
+  out.u64(moments.n_fixed());
+  out.u64(moments.n_random());
+  out.u64(moments.group_count());
+  for (std::size_t g = 0; g < moments.group_count(); ++g) {
+    out.u64(moments.single_ones_fixed(g));
+    out.u64(moments.single_ones_random(g));
+  }
+  out.u64(moments.multi_group_count());
+  for (std::size_t m = 0; m < moments.multi_group_count(); ++m) {
+    for (const auto* acc : {&moments.multi_fixed(m), &moments.multi_random(m)}) {
+      out.u64(acc->count());
+      out.f64(acc->mean());
+      out.f64(acc->sum2());
+      out.f64(0.0);  // S3
+      out.f64(0.0);  // S4
+    }
+  }
+  out.end_chunk();
+  serialize::Reader in(out.finish());
+  EXPECT_THROW((void)tvla::read_moments(in), std::runtime_error);
+}
+
 TEST(DistributedCodec, NetlistRoundTripPreservesDesignFingerprint) {
   const auto design = circuits::load_design("arbiter", 0.3);
   serialize::Writer out;
