@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "engine/scheduler.hpp"
-#include "engine/trace_engine.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "power/power_model.hpp"
@@ -215,12 +214,9 @@ class Campaign {
     return batch_count() * cycles * std::max<std::size_t>(1, design_.gate_count());
   }
 
-  /// Synchronous entry point. Budget-disabled campaigns take the
-  /// pre-existing TraceEngine path unchanged (byte-identical results);
-  /// budget-enabled ones route through a private Scheduler so the
-  /// checkpointed submit/drain seam is the ONLY early-stop implementation.
+  /// Synchronous entry point: a private Scheduler drained on the calling
+  /// thread, so every campaign runs through the one scheduler path.
   static LeakageReport run(std::shared_ptr<Campaign> self) {
-    if (!self->config_.budget.enabled) return self->run_sync();
     engine::Scheduler scheduler(self->config_.threads);
     auto future = submit(std::move(self), scheduler);
     scheduler.drain();
@@ -318,21 +314,6 @@ class Campaign {
     CampaignMoments moments;
     std::vector<double> lane_sums;
   };
-
-  /// The fixed-budget TraceEngine path, untouched by the budget feature.
-  LeakageReport run_sync() {
-    const engine::TraceEngine eng(config_.threads);
-    ShardState merged = eng.run_blocks<ShardState>(
-        batch_count(), lane_words_,
-        [this](std::size_t) { return make_shard_state(); },
-        [this](ShardState& state, std::size_t batch_begin, std::size_t words) {
-          run_block(state, batch_begin, words);
-        },
-        [](ShardState& into, ShardState&& from) {
-          into.moments.merge(from.moments);
-        });
-    return finalize(merged.moments);
-  }
 
   /// Fixed trace milestones (min_traces, 2x, 4x, ... strictly below the
   /// full budget), each rounded UP to the next shard boundary of the same

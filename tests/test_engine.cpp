@@ -10,7 +10,7 @@
 #include "circuits/arith.hpp"
 #include "circuits/memctrl.hpp"
 #include "engine/thread_pool.hpp"
-#include "engine/trace_engine.hpp"
+#include "engine/scheduler.hpp"
 #include "masking/masking.hpp"
 #include "tvla/moments.hpp"
 #include "tvla/tvla.hpp"
