@@ -109,80 +109,55 @@ class Scheduler {
 
   /// Registers a campaign and queues its shards. Returns a future for the
   /// finalized result; the future becomes ready during drain(), when the
-  /// campaign's last shard has executed and its shard states have merged.
+  /// ascending merge has covered the campaign's last shard (or a checkpoint
+  /// stopped it).
   ///
-  ///   make(shard_index)        -> State   (own simulator, zeroed moments)
-  ///   run_batch(state, batch)  ->         (batch = global batch index)
-  ///   merge(into, from)        ->         (ascending shard order)
-  ///   finalize(state)          -> Result  (runs once, after the merge)
+  ///   make(shard_index)                    -> State (own simulator, zeroed
+  ///                                           moments)
+  ///   run_block(state, batch_begin, words) -> runs batches
+  ///                                           [batch_begin, batch_begin +
+  ///                                           words), words <= block_words
+  ///   merge(into, from)                    -> ascending shard order
+  ///   finalize(state)                      -> Result (runs once)
   ///
+  /// Shards execute their batch range in lane blocks of up to `block_words`
+  /// consecutive batches, re-anchored at each shard's begin - the ShardPlan
+  /// (and so every merge point) is identical at every block width.
   /// `weight` orders the queue (heavier campaigns drain first); 0 uses the
   /// batch count. An exception from any callable fails only this campaign:
   /// its remaining shards are skipped and the future rethrows on get().
   /// Zero-batch campaigns finalize make(0) inline and return a ready
-  /// future, mirroring TraceEngine::run.
-  template <class State, class MakeState, class RunBatch, class Merge,
-            class Finalize,
-            class Result = std::invoke_result_t<Finalize&, State&&>>
-  std::future<Result> submit(std::size_t total_batches, MakeState make,
-                             RunBatch run_batch, Merge merge,
-                             Finalize finalize, std::size_t weight = 0,
-                             std::string label = {}) {
-    return submit_blocks<State>(
-        total_batches, /*block_words=*/1, std::move(make),
-        [rb = std::move(run_batch)](State& state, std::size_t batch,
-                                    std::size_t) { rb(state, batch); },
-        std::move(merge), std::move(finalize), weight, std::move(label));
-  }
-
-  /// Blocked variant (see TraceEngine::run_blocks): shards execute their
-  /// batch range in lane blocks of up to `block_words` consecutive
-  /// batches, re-anchored at each shard's begin - the ShardPlan (and so
-  /// every merge point) is identical at every block width.
-  ///   run_block(state, batch_begin, words) - runs batches
-  ///   [batch_begin, batch_begin + words), words <= block_words.
-  template <class State, class MakeState, class RunBlock, class Merge,
-            class Finalize,
-            class Result = std::invoke_result_t<Finalize&, State&&>>
-  std::future<Result> submit_blocks(std::size_t total_batches,
-                                    std::size_t block_words, MakeState make,
-                                    RunBlock run_block, Merge merge,
-                                    Finalize finalize, std::size_t weight = 0,
-                                    std::string label = {}) {
-    return submit_checkpointed<State>(total_batches, block_words,
-                                      std::move(make), std::move(run_block),
-                                      std::move(merge), std::move(finalize),
-                                      /*checkpoints=*/{},
-                                      /*checkpoint=*/nullptr, weight,
-                                      std::move(label));
-  }
-
-  /// Early-stopping variant. `checkpoints` is an ascending list of shard
-  /// prefix counts; each time the ascending incremental merge has covered
-  /// the first `c` shards, `checkpoint(merged, c)` runs exactly once (under
-  /// the campaign's merge lock, so checkpoints never race each other).
-  /// Returning true STOPS the campaign: the merge ceiling freezes at `c`,
-  /// so the result is finalized from exactly the first `c` shards - shards
-  /// that were already running keep going but their states are discarded,
-  /// and the campaign's unstarted shards are skipped when popped, which
-  /// hands their pool slots straight to the undecided campaigns behind
-  /// them in the LPT queue.
+  /// future.
+  ///
+  /// Every shard state joins ONE ascending incremental merge as soon as its
+  /// predecessors have: shard 0 seeds the total, shard k merges into it
+  /// once shards [0, k) have, so at most the out-of-order states wait in
+  /// their slots and a merged state is freed at once. `checkpoints` is an
+  /// optional ascending list of shard prefix counts; each time the merge
+  /// has covered the first `c` shards, `checkpoint(merged, c)` runs exactly
+  /// once (under the campaign's merge lock, so checkpoints never race each
+  /// other). Returning true STOPS the campaign: the merge ceiling freezes
+  /// at `c`, so the result is finalized from exactly the first `c` shards -
+  /// shards that were already running keep going but their states are
+  /// discarded, and the campaign's unstarted shards are skipped when
+  /// popped, which hands their pool slots straight to the undecided
+  /// campaigns behind them in the LPT queue. Without checkpoints a campaign
+  /// never stops early.
   ///
   /// Determinism: milestones are shard prefix counts computed from the
   /// same pure ShardPlan, the merge is strictly ascending, and a stop
   /// decision freezes the ceiling before any out-of-order state can join -
   /// so stop decisions AND finalized results are bit-identical at every
-  /// thread count and block width. With an empty checkpoint this is
-  /// exactly submit_blocks (deferred merge in finish(), byte-identical).
+  /// thread count and block width.
   template <class State, class MakeState, class RunBlock, class Merge,
             class Finalize,
             class Result = std::invoke_result_t<Finalize&, State&&>>
-  std::future<Result> submit_checkpointed(
+  std::future<Result> submit(
       std::size_t total_batches, std::size_t block_words, MakeState make,
       RunBlock run_block, Merge merge, Finalize finalize,
-      std::vector<std::size_t> checkpoints,
-      std::function<bool(const State&, std::size_t)> checkpoint,
-      std::size_t weight = 0, std::string label = {}) {
+      std::size_t weight = 0, std::string label = {},
+      std::vector<std::size_t> checkpoints = {},
+      std::function<bool(const State&, std::size_t)> checkpoint = nullptr) {
     auto campaign = std::make_shared<
         TypedCampaign<State, Result, MakeState, RunBlock, Merge, Finalize>>(
         std::move(make), std::move(run_block), std::move(merge),
@@ -196,7 +171,7 @@ class Scheduler {
     campaign->stop_at = campaign->plan.shard_count;
     std::future<Result> future = campaign->promise.get_future();
     if (campaign->plan.shard_count == 0) {
-      campaign->finish();  // TraceEngine semantics: finalize(make(0))
+      campaign->finish();  // finalize(make(0))
       return future;
     }
     campaign->states.resize(campaign->plan.shard_count);
@@ -231,8 +206,8 @@ class Scheduler {
     /// Runs one shard's batches. Never throws: failures are captured into
     /// the campaign and surface via the future.
     virtual void run_shard(std::size_t shard) noexcept = 0;
-    /// Merges shard states in ascending order and fulfills the promise.
-    /// Called exactly once, after the last shard executed.
+    /// Finalizes the merged total and fulfills the promise. Called exactly
+    /// once, after the last shard retired.
     virtual void finish() noexcept = 0;
 
     ShardPlan plan;
@@ -269,14 +244,9 @@ class Scheduler {
         for (std::size_t b = plan.begin(shard); b < end; b += block) {
           run_block(state, b, std::min(block, end - b));
         }
-        if (!checkpoint) {
-          states[shard].emplace(std::move(state));
-          return;
-        }
-        // Checkpointed mode: publish the state under the merge lock (other
-        // drain threads read the slots below, so the lock-free emplace of
-        // the fixed path would race) and advance the ascending merge
-        // cursor, firing each milestone exactly once as it is crossed.
+        // Publish the state under the merge lock (other drain threads read
+        // the slots below) and advance the ascending merge cursor, firing
+        // each milestone exactly once as it is crossed.
         const std::lock_guard<std::mutex> merge_lock(merge_mutex);
         states[shard].emplace(std::move(state));
         while (merged_upto < stop_at && states[merged_upto].has_value()) {
@@ -287,7 +257,7 @@ class Scheduler {
           }
           states[merged_upto].reset();
           ++merged_upto;
-          if (next_checkpoint < checkpoint_shards.size() &&
+          if (checkpoint && next_checkpoint < checkpoint_shards.size() &&
               merged_upto == checkpoint_shards[next_checkpoint]) {
             ++next_checkpoint;
             if (checkpoint(*merged, merged_upto)) {
@@ -311,19 +281,11 @@ class Scheduler {
           promise.set_value(finalize(make(0)));
           return;
         }
-        if (checkpoint) {
-          // `merged` already holds the ascending merge of shards
-          // [0, stop_at); anything later was skipped or discarded. The
-          // finisher saw the last remaining-decrement under the scheduler
-          // mutex, which the merging threads' writes happen-before.
-          promise.set_value(finalize(std::move(*merged)));
-          return;
-        }
-        State total = std::move(*states[0]);
-        for (std::size_t shard = 1; shard < states.size(); ++shard) {
-          merge(total, std::move(*states[shard]));
-        }
-        promise.set_value(finalize(std::move(total)));
+        // `merged` holds the ascending merge of shards [0, stop_at);
+        // anything later was skipped or discarded. The finisher saw the
+        // last remaining-decrement under the scheduler mutex, which the
+        // merging threads' writes happen-before.
+        promise.set_value(finalize(std::move(*merged)));
       } catch (...) {
         promise.set_exception(std::current_exception());
       }
@@ -338,10 +300,7 @@ class Scheduler {
     std::mutex error_mutex;
     std::exception_ptr error;
     std::atomic<bool> failed{false};
-    /// Empty on the fixed-budget path (deferred merge in finish(), the
-    /// pre-existing byte-identical behavior). Non-empty switches run_shard
-    /// to the incremental ascending merge above.
-    std::function<bool(const State&, std::size_t)> checkpoint;
+    std::function<bool(const State&, std::size_t)> checkpoint;  // optional
     std::vector<std::size_t> checkpoint_shards;  // ascending prefix counts
     std::mutex merge_mutex;       // guards merged/merged_upto/states below
     std::optional<State> merged;  // ascending merge of shards [0, merged_upto)

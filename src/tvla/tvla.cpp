@@ -247,25 +247,17 @@ class Campaign {
     auto fin = [self](ShardState&& total) {
       return self->finalize(total.moments);
     };
-    if (!self->config_.budget.enabled) {
-      return scheduler.submit_blocks<ShardState>(
-          self->batch_count(), self->lane_words_, std::move(make),
-          std::move(run_blk), std::move(merge), std::move(fin),
-          self->cost_weight(), self->label_);
-    }
-    // Budget-enabled campaigns use the checkpointed seam even when the
-    // milestone list is empty (floor >= budget): the incremental ascending
-    // merge runs the same float op sequence, and finalize() still records
-    // trace usage.
+    // Budget-disabled campaigns have no milestones, so the checkpoint
+    // never runs and the campaign never stops early.
     auto checkpoint = [self](const ShardState& merged,
                              std::size_t shards_merged) {
       return self->evaluate_checkpoint(merged.moments, shards_merged);
     };
-    return scheduler.submit_checkpointed<ShardState>(
+    return scheduler.submit<ShardState>(
         self->batch_count(), self->lane_words_, std::move(make),
         std::move(run_blk), std::move(merge), std::move(fin),
-        self->checkpoint_shards_, std::move(checkpoint), self->cost_weight(),
-        self->label_);
+        self->cost_weight(), self->label_, self->checkpoint_shards_,
+        std::move(checkpoint));
   }
 
   /// Shard-granular execution for tvla::ShardRunner: runs one shard of the

@@ -280,8 +280,8 @@ TEST(Scheduler, SyntheticCampaignsSeeEveryBatchExactlyOnce) {
     for (std::size_t c = 0; c < kCampaigns; ++c) {
       const std::size_t batches = 1 + (c * 7) % 97;
       pending.push_back(scheduler.submit<XorState>(
-          batches, [](std::size_t) { return XorState{}; },
-          [c](XorState& state, std::size_t batch) {
+          batches, /*block_words=*/1, [](std::size_t) { return XorState{}; },
+          [c](XorState& state, std::size_t batch, std::size_t) {
             state.value ^= mix(c, batch);
           },
           [](XorState& into, XorState&& from) { into.value ^= from.value; },
@@ -304,8 +304,8 @@ TEST(Scheduler, MergesInAscendingShardOrder) {
   // the batch order, whatever ran where.
   engine::Scheduler scheduler(8);
   auto pending = scheduler.submit<std::vector<std::uint64_t>>(
-      200, [](std::size_t) { return std::vector<std::uint64_t>{}; },
-      [](std::vector<std::uint64_t>& state, std::size_t batch) {
+      200, /*block_words=*/1, [](std::size_t) { return std::vector<std::uint64_t>{}; },
+      [](std::vector<std::uint64_t>& state, std::size_t batch, std::size_t) {
         state.push_back(batch);
       },
       [](std::vector<std::uint64_t>& into, std::vector<std::uint64_t>&& from) {
@@ -321,8 +321,8 @@ TEST(Scheduler, MergesInAscendingShardOrder) {
 TEST(Scheduler, ZeroBatchCampaignFinalizesImmediately) {
   engine::Scheduler scheduler(4);
   auto pending = scheduler.submit<XorState>(
-      0, [](std::size_t) { return XorState{123}; },
-      [](XorState&, std::size_t) { FAIL() << "no batches to run"; },
+      0, /*block_words=*/1, [](std::size_t) { return XorState{123}; },
+      [](XorState&, std::size_t, std::size_t) { FAIL() << "no batches to run"; },
       [](XorState&, XorState&&) { FAIL() << "nothing to merge"; },
       [](XorState&& total) { return total.value; });
   // Ready before any drain - TraceEngine's make(0) semantics.
@@ -333,15 +333,15 @@ TEST(Scheduler, ZeroBatchCampaignFinalizesImmediately) {
 TEST(Scheduler, FailedCampaignDoesNotPoisonOthers) {
   engine::Scheduler scheduler(4);
   auto doomed = scheduler.submit<XorState>(
-      64, [](std::size_t) { return XorState{}; },
-      [](XorState&, std::size_t batch) {
+      64, /*block_words=*/1, [](std::size_t) { return XorState{}; },
+      [](XorState&, std::size_t batch, std::size_t) {
         if (batch == 17) throw std::runtime_error("batch 17 exploded");
       },
       [](XorState& into, XorState&& from) { into.value ^= from.value; },
       [](XorState&& total) { return total.value; });
   auto healthy = scheduler.submit<XorState>(
-      64, [](std::size_t) { return XorState{}; },
-      [](XorState& state, std::size_t batch) { state.value += batch; },
+      64, /*block_words=*/1, [](std::size_t) { return XorState{}; },
+      [](XorState& state, std::size_t batch, std::size_t) { state.value += batch; },
       [](XorState& into, XorState&& from) { into.value += from.value; },
       [](XorState&& total) { return total.value; });
   scheduler.drain();
@@ -360,12 +360,12 @@ TEST(Scheduler, HeavierCampaignsDrainFirstWhenSerial) {
     }
   };
   auto light = scheduler.submit<XorState>(
-      4, [](std::size_t) { return XorState{}; },
-      [&record](XorState&, std::size_t) { record(1); },
+      4, /*block_words=*/1, [](std::size_t) { return XorState{}; },
+      [&record](XorState&, std::size_t, std::size_t) { record(1); },
       [](XorState&, XorState&&) {}, [](XorState&&) { return 0; });
   auto heavy = scheduler.submit<XorState>(
-      64, [](std::size_t) { return XorState{}; },
-      [&record](XorState&, std::size_t) { record(2); },
+      64, /*block_words=*/1, [](std::size_t) { return XorState{}; },
+      [&record](XorState&, std::size_t, std::size_t) { record(2); },
       [](XorState&, XorState&&) {}, [](XorState&&) { return 0; });
   scheduler.drain();
   (void)light.get();
@@ -395,13 +395,13 @@ TEST(Scheduler, ProgressTableTracksCampaignsMonotonically) {
     }
   };
   auto alpha = scheduler.submit<XorState>(
-      24, [](std::size_t) { return XorState{}; },
-      [&observe](XorState&, std::size_t) { observe(); },
+      24, /*block_words=*/1, [](std::size_t) { return XorState{}; },
+      [&observe](XorState&, std::size_t, std::size_t) { observe(); },
       [](XorState&, XorState&&) {}, [](XorState&&) { return 0; },
       /*weight=*/24, "alpha");
   auto beta = scheduler.submit<XorState>(
-      96, [](std::size_t) { return XorState{}; },
-      [](XorState&, std::size_t) {}, [](XorState&, XorState&&) {},
+      96, /*block_words=*/1, [](std::size_t) { return XorState{}; },
+      [](XorState&, std::size_t, std::size_t) {}, [](XorState&, XorState&&) {},
       [](XorState&&) { return 0; }, /*weight=*/96, "beta");
 
   // Before the drain: both rows, submission order, nothing done, and LPT
