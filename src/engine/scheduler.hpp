@@ -1,28 +1,23 @@
-// Global shard scheduler: one work queue for every pending campaign.
+// Shard scheduler: the one executor every TVLA campaign runs through.
 //
-// The TraceEngine (trace_engine.hpp) shards ONE campaign's batch range and
-// blocks until it is merged - the right shape for a single leak_estimate(D)
-// call, but a multi-campaign flow (Algorithm 1 labelling, suite audits,
-// masking sweeps) pays tail latency whenever designs have unequal batch
-// counts: the pool idles while the last campaign's final shards finish.
-//
-// The Scheduler flattens all pending campaigns' shards into one priority
-// queue drained by the shared ThreadPool. Each submit() registers a
-// campaign - a ShardPlan over its batch range plus make/run_batch/merge/
-// finalize callables - and returns a std::future for its result. drain()
-// executes every queued shard; heavier campaigns' shards are popped first
-// (LPT order), so short campaigns fill the stragglers' idle lanes instead
-// of queueing behind them.
+// A campaign is a ShardPlan over its batch range plus callables:
+// run_shard(shard) -> State, merge, finalize and optional early-stop
+// checkpoints. submit() queues the campaign's shards in ONE priority queue
+// shared by every pending campaign, and drain() executes them on the shared
+// ThreadPool. Heavier campaigns' shards pop first (LPT order), so short
+// campaigns fill the stragglers' idle lanes instead of queueing behind
+// them. A synchronous campaign (tvla::run_*) is a private Scheduler plus
+// drain().
 //
 // Determinism contract (tested in tests/test_scheduler.cpp): a campaign's
-// result is bit-identical to the per-campaign TraceEngine path at every
-// thread count, queue interleaving, and submission order, because
-//  * the ShardPlan is the same pure function of the batch count;
+// result is bit-identical at every thread count, queue interleaving, and
+// submission order, because
+//  * the ShardPlan is a pure function of the batch count;
 //  * every batch derives its randomness from stream_seed(seed, batch, tag),
 //    so execution placement cannot change a batch's samples;
-//  * shard states merge in ascending shard order, on whichever thread
-//    completes the campaign's last shard - the float op sequence is the
-//    TraceEngine's, regardless of which threads ran the shards.
+//  * shard states join one ascending incremental merge under the
+//    campaign's merge lock - the float op sequence is fixed, whichever
+//    thread produced each state.
 #pragma once
 
 #include <algorithm>
@@ -112,58 +107,48 @@ class Scheduler {
   /// ascending merge has covered the campaign's last shard (or a checkpoint
   /// stopped it).
   ///
-  ///   make(shard_index)                    -> State (own simulator, zeroed
-  ///                                           moments)
-  ///   run_block(state, batch_begin, words) -> runs batches
-  ///                                           [batch_begin, batch_begin +
-  ///                                           words), words <= block_words
-  ///   merge(into, from)                    -> ascending shard order
-  ///   finalize(state)                      -> Result (runs once)
+  ///   run_shard(shard)  -> State   (the shard's batches, from scratch)
+  ///   merge(into, from) ->         (ascending shard order)
+  ///   finalize(state)   -> Result  (runs once)
   ///
-  /// Shards execute their batch range in lane blocks of up to `block_words`
-  /// consecutive batches, re-anchored at each shard's begin - the ShardPlan
-  /// (and so every merge point) is identical at every block width.
   /// `weight` orders the queue (heavier campaigns drain first); 0 uses the
   /// batch count. An exception from any callable fails only this campaign:
   /// its remaining shards are skipped and the future rethrows on get().
-  /// Zero-batch campaigns finalize make(0) inline and return a ready
-  /// future.
+  /// Zero-batch campaigns finalize run_shard(0) - shard 0 of an empty plan
+  /// covers no batch - inline and return a ready future.
   ///
   /// Every shard state joins ONE ascending incremental merge as soon as its
-  /// predecessors have: shard 0 seeds the total, shard k merges into it
-  /// once shards [0, k) have, so at most the out-of-order states wait in
-  /// their slots and a merged state is freed at once. `checkpoints` is an
-  /// optional ascending list of shard prefix counts; each time the merge
-  /// has covered the first `c` shards, `checkpoint(merged, c)` runs exactly
+  /// predecessors have: shard 0 seeds the total and shard k merges into it
+  /// once shards [0, k) have. Only out-of-order states wait in their slots,
+  /// and a merged state is freed at once, so a campaign holds a handful of
+  /// states rather than one per shard. `checkpoints` is an optional
+  /// ascending list of shard prefix counts; each time the merge has
+  /// covered the first `c` shards, `checkpoint(merged, c)` runs exactly
   /// once (under the campaign's merge lock, so checkpoints never race each
   /// other). Returning true STOPS the campaign: the merge ceiling freezes
   /// at `c`, so the result is finalized from exactly the first `c` shards -
   /// shards that were already running keep going but their states are
   /// discarded, and the campaign's unstarted shards are skipped when
   /// popped, which hands their pool slots straight to the undecided
-  /// campaigns behind them in the LPT queue. Without checkpoints a campaign
-  /// never stops early.
+  /// campaigns behind them in the LPT queue. Without checkpoints a
+  /// campaign never stops early.
   ///
   /// Determinism: milestones are shard prefix counts computed from the
   /// same pure ShardPlan, the merge is strictly ascending, and a stop
   /// decision freezes the ceiling before any out-of-order state can join -
   /// so stop decisions AND finalized results are bit-identical at every
-  /// thread count and block width.
-  template <class State, class MakeState, class RunBlock, class Merge,
-            class Finalize,
+  /// thread count.
+  template <class State, class RunShard, class Merge, class Finalize,
             class Result = std::invoke_result_t<Finalize&, State&&>>
   std::future<Result> submit(
-      std::size_t total_batches, std::size_t block_words, MakeState make,
-      RunBlock run_block, Merge merge, Finalize finalize,
-      std::size_t weight = 0, std::string label = {},
+      std::size_t total_batches, RunShard run_shard, Merge merge,
+      Finalize finalize, std::size_t weight = 0, std::string label = {},
       std::vector<std::size_t> checkpoints = {},
       std::function<bool(const State&, std::size_t)> checkpoint = nullptr) {
     auto campaign = std::make_shared<
-        TypedCampaign<State, Result, MakeState, RunBlock, Merge, Finalize>>(
-        std::move(make), std::move(run_block), std::move(merge),
-        std::move(finalize));
+        TypedCampaign<State, Result, RunShard, Merge, Finalize>>(
+        std::move(run_shard), std::move(merge), std::move(finalize));
     campaign->plan = ShardPlan::make(total_batches);
-    campaign->block = block_words == 0 ? 1 : block_words;
     campaign->weight = weight == 0 ? total_batches : weight;
     campaign->label = std::move(label);
     campaign->checkpoint = std::move(checkpoint);
@@ -171,7 +156,7 @@ class Scheduler {
     campaign->stop_at = campaign->plan.shard_count;
     std::future<Result> future = campaign->promise.get_future();
     if (campaign->plan.shard_count == 0) {
-      campaign->finish();  // finalize(make(0))
+      campaign->finish();  // finalize(run_shard(0))
       return future;
     }
     campaign->states.resize(campaign->plan.shard_count);
@@ -203,15 +188,14 @@ class Scheduler {
   /// the mutex ordering publishes every slot.
   struct CampaignTask {
     virtual ~CampaignTask() = default;
-    /// Runs one shard's batches. Never throws: failures are captured into
-    /// the campaign and surface via the future.
+    /// Runs one shard and feeds its state to the merge. Never throws:
+    /// failures are captured into the campaign and surface via the future.
     virtual void run_shard(std::size_t shard) noexcept = 0;
     /// Finalizes the merged total and fulfills the promise. Called exactly
     /// once, after the last shard retired.
     virtual void finish() noexcept = 0;
 
     ShardPlan plan;
-    std::size_t block = 1;       // lane-block width (consecutive batches)
     std::size_t weight = 0;
     std::uint64_t sequence = 0;  // submission order, the priority tie-break
     std::size_t remaining = 0;   // shards not yet executed
@@ -226,59 +210,60 @@ class Scheduler {
     std::atomic<bool> cancelled{false};
   };
 
-  template <class State, class Result, class MakeState, class RunBlock,
-            class Merge, class Finalize>
+  template <class State, class Result, class RunShard, class Merge,
+            class Finalize>
   struct TypedCampaign final : CampaignTask {
-    TypedCampaign(MakeState make, RunBlock run_block, Merge merge,
-                  Finalize finalize)
-        : make(std::move(make)),
-          run_block(std::move(run_block)),
+    TypedCampaign(RunShard run, Merge merge, Finalize finalize)
+        : run(std::move(run)),
           merge(std::move(merge)),
           finalize(std::move(finalize)) {}
 
     void run_shard(std::size_t shard) noexcept override {
       if (failed.load(std::memory_order_relaxed)) return;  // doomed campaign
       try {
-        State state = make(shard);
-        const std::size_t end = plan.end(shard);
-        for (std::size_t b = plan.begin(shard); b < end; b += block) {
-          run_block(state, b, std::min(block, end - b));
-        }
-        // Publish the state under the merge lock (other drain threads read
-        // the slots below) and advance the ascending merge cursor, firing
-        // each milestone exactly once as it is crossed.
-        const std::lock_guard<std::mutex> merge_lock(merge_mutex);
-        states[shard].emplace(std::move(state));
-        while (merged_upto < stop_at && states[merged_upto].has_value()) {
-          if (merged_upto == 0) {
-            merged.emplace(std::move(*states[0]));
-          } else {
-            merge(*merged, std::move(*states[merged_upto]));
-          }
-          states[merged_upto].reset();
-          ++merged_upto;
-          if (checkpoint && next_checkpoint < checkpoint_shards.size() &&
-              merged_upto == checkpoint_shards[next_checkpoint]) {
-            ++next_checkpoint;
-            if (checkpoint(*merged, merged_upto)) {
-              stop_at = merged_upto;  // freeze: no later state ever merges
-              cancelled.store(true, std::memory_order_relaxed);
-              break;
-            }
-          }
-        }
+        accept(shard, run(shard));
       } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error) error = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
+        fail(std::current_exception());
       }
+    }
+
+    /// Publishes one shard state under the merge lock (other threads read
+    /// the slots below) and advances the ascending merge cursor, firing
+    /// each milestone exactly once as it is crossed.
+    void accept(std::size_t shard, State state) {
+      const std::lock_guard<std::mutex> merge_lock(merge_mutex);
+      states[shard].emplace(std::move(state));
+      while (merged_upto < stop_at && states[merged_upto].has_value()) {
+        if (merged_upto == 0) {
+          merged.emplace(std::move(*states[0]));
+        } else {
+          merge(*merged, std::move(*states[merged_upto]));
+        }
+        states[merged_upto].reset();
+        ++merged_upto;
+        if (checkpoint && next_checkpoint < checkpoint_shards.size() &&
+            merged_upto == checkpoint_shards[next_checkpoint]) {
+          ++next_checkpoint;
+          if (checkpoint(*merged, merged_upto)) {
+            stop_at = merged_upto;  // freeze: no later state ever merges
+            cancelled.store(true, std::memory_order_relaxed);
+            break;
+          }
+        }
+      }
+    }
+
+    void fail(std::exception_ptr failure) noexcept {
+      const std::lock_guard<std::mutex> lock(error_mutex);
+      if (!error) error = std::move(failure);
+      failed.store(true, std::memory_order_relaxed);
     }
 
     void finish() noexcept override {
       try {
         if (error) std::rethrow_exception(error);
         if (states.empty()) {  // zero-batch campaign
-          promise.set_value(finalize(make(0)));
+          promise.set_value(finalize(run(0)));
           return;
         }
         // `merged` holds the ascending merge of shards [0, stop_at);
@@ -291,8 +276,7 @@ class Scheduler {
       }
     }
 
-    MakeState make;
-    RunBlock run_block;
+    RunShard run;
     Merge merge;
     Finalize finalize;
     std::vector<std::optional<State>> states;

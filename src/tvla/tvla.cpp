@@ -101,13 +101,6 @@ void sample_block(const power::SamplePlan& plan,
               moments);
 }
 
-/// Thin protocol layer: owns the campaign-wide, read-only context (the
-/// compiled design plan, power model, sampling plan, fixed vectors) and
-/// defines how one batch of traces is stimulated and sampled. The design
-/// is compiled ONCE here; every shard's Simulator shares the plan, so
-/// per-shard setup never re-runs topological_order() or rebuilds a
-/// schedule. Execution and merging belong to the trace engine; all mutable
-/// per-shard state lives in ShardState.
 /// sim::compile wrapped in telemetry: the once-per-campaign cost the
 /// compiled-kernel refactor moved out of the shard loop, now visible as
 /// the `tvla.compile_us` histogram and a "compile" span.
@@ -122,6 +115,13 @@ sim::CompiledDesignPtr compile_timed(const netlist::Netlist& design) {
   return compiled;
 }
 
+/// Thin protocol layer: owns the campaign-wide, read-only context (the
+/// compiled design plan, power model, sampling plan, fixed vectors) and
+/// defines how one shard of traces is stimulated and sampled. The design
+/// is compiled ONCE here; every shard's Simulator shares the plan, so
+/// per-shard setup never re-runs topological_order() or rebuilds a
+/// schedule. Execution and merging belong to engine::Scheduler; all
+/// mutable per-shard state lives in a ShardState that dies with its shard.
 class Campaign {
  public:
   Campaign(const netlist::Netlist& design, const techlib::TechLibrary& lib,
@@ -167,6 +167,7 @@ class Campaign {
                               : (config.lane_words != 0
                                      ? config.lane_words
                                      : sim::default_lane_words());
+    shard_plan_ = engine::ShardPlan::make(batch_count());
     if (config_.budget.enabled) build_checkpoint_schedule();
 
     // Telemetry only (never serialized, never fingerprinted): campaign
@@ -191,6 +192,10 @@ class Campaign {
                                                      : "fixed-vs-fixed");
       tracer.async_begin("campaign", "tvla", trace_id_, std::move(args).str());
     }
+  }
+
+  [[nodiscard]] const engine::ShardPlan& shard_plan() const {
+    return shard_plan_;
   }
 
   /// Traces one batch contributes (sequential designs pack
@@ -233,43 +238,32 @@ class Campaign {
 
   /// Queues this campaign on the global scheduler. `self` keeps the
   /// campaign (and its power model / group layout) alive inside the shard
-  /// closures until the last shard finalized the report.
+  /// closures until the last shard finalized the report. Budget-disabled
+  /// campaigns have no milestones, so their checkpoint never runs.
   static std::future<LeakageReport> submit(std::shared_ptr<Campaign> self,
                                            engine::Scheduler& scheduler) {
-    auto make = [self](std::size_t) { return self->make_shard_state(); };
-    auto run_blk = [self](ShardState& state, std::size_t batch_begin,
-                          std::size_t words) {
-      self->run_block(state, batch_begin, words);
-    };
-    auto merge = [](ShardState& into, ShardState&& from) {
-      into.moments.merge(from.moments);
-    };
-    auto fin = [self](ShardState&& total) {
-      return self->finalize(total.moments);
-    };
-    // Budget-disabled campaigns have no milestones, so the checkpoint
-    // never runs and the campaign never stops early.
-    auto checkpoint = [self](const ShardState& merged,
-                             std::size_t shards_merged) {
-      return self->evaluate_checkpoint(merged.moments, shards_merged);
-    };
-    return scheduler.submit<ShardState>(
-        self->batch_count(), self->lane_words_, std::move(make),
-        std::move(run_blk), std::move(merge), std::move(fin),
+    return scheduler.submit<CampaignMoments>(
+        self->batch_count(),
+        [self](std::size_t shard) { return self->run_shard_moments(shard); },
+        [](CampaignMoments& into, CampaignMoments&& from) { into.merge(from); },
+        [self](CampaignMoments&& total) { return self->finalize(total); },
         self->cost_weight(), self->label_, self->checkpoint_shards_,
-        std::move(checkpoint));
+        [self](const CampaignMoments& merged, std::size_t shards_merged) {
+          return self->evaluate_checkpoint(merged, shards_merged);
+        });
   }
 
-  /// Shard-granular execution for tvla::ShardRunner: runs one shard of the
-  /// campaign's ShardPlan into a fresh moments block - the exact block loop
-  /// the scheduler's run_shard executes (fresh state, blocks re-anchored at
-  /// the shard begin), so the result is the shard state any scheduler,
-  /// thread count, or host would have produced.
+  /// Runs shard `shard` of the campaign's ShardPlan into a fresh moments
+  /// block: lane blocks of up to lane_words_ consecutive batches,
+  /// re-anchored at the shard begin, the last one short when the range is
+  /// not a multiple of the width - so the ShardPlan (and every merge
+  /// point) is the same at every width. The shard's simulator and scratch
+  /// die here; only the moments travel on to the merge, whichever
+  /// scheduler, thread count, or host ran the shard.
   [[nodiscard]] CampaignMoments run_shard_moments(std::size_t shard) const {
-    const engine::ShardPlan plan = engine::ShardPlan::make(batch_count());
     ShardState state = make_shard_state();
-    const std::size_t end = plan.end(shard);
-    for (std::size_t b = plan.begin(shard); b < end; b += lane_words_) {
+    const std::size_t end = shard_plan_.end(shard);
+    for (std::size_t b = shard_plan_.begin(shard); b < end; b += lane_words_) {
       run_block(state, b, std::min(lane_words_, end - b));
     }
     return std::move(state.moments);
@@ -278,24 +272,13 @@ class Campaign {
   [[nodiscard]] const std::vector<std::size_t>& checkpoint_shards() const {
     return checkpoint_shards_;
   }
-  /// A zeroed moments block with the campaign's group layout - the merge
-  /// identity, and the finalize input for zero-batch campaigns (mirroring
-  /// the scheduler's finalize(make(0)) semantics).
+  /// A zeroed moments block with the campaign's group layout.
   [[nodiscard]] CampaignMoments empty_moments() const {
     return CampaignMoments(plan_.group_count(), plan_.multi_group_count());
   }
-  /// Public seams over the private checkpoint/finalize paths, for the
-  /// coordinator-side merge replay (tvla::ShardRunner).
-  [[nodiscard]] bool checkpoint_decision(const CampaignMoments& merged,
-                                         std::size_t shards_merged) {
-    return evaluate_checkpoint(merged, shards_merged);
-  }
-  [[nodiscard]] LeakageReport finalize_moments(const CampaignMoments& total) {
-    return finalize(total);
-  }
 
  private:
-  /// Everything one shard mutates: its own K-word simulator, one
+  /// Everything one shard mutates while it runs: its own K-word simulator, one
   /// per-batch stimulus stream and class mask per lane word, the mergeable
   /// statistics, and the per-(word, lane) group energy scratch (the fused
   /// power accumulation - no per-lane power vector is ever materialized).
@@ -313,7 +296,7 @@ class Campaign {
   /// the budget floor, so the schedule (and with it every stop decision)
   /// is independent of threads and lane_words.
   void build_checkpoint_schedule() {
-    const engine::ShardPlan plan = engine::ShardPlan::make(batch_count());
+    const engine::ShardPlan& plan = shard_plan_;
     if (plan.shard_count <= 1) return;
     const std::size_t per_batch = samples_per_batch();
     const std::size_t total = plan.total_batches * per_batch;
@@ -330,6 +313,7 @@ class Campaign {
     }
   }
 
+ public:
   /// The two-sided decision rule, evaluated on the merged shard prefix at
   /// one milestone (see TvlaBudget). Returns true to stop the campaign.
   bool evaluate_checkpoint(const CampaignMoments& moments,
@@ -338,7 +322,7 @@ class Campaign {
         obs::Registry::global().histogram("tvla.checkpoint_us");
     obs::Span span("checkpoint", "tvla");
     const std::int64_t t0 = obs::now_ns();
-    const engine::ShardPlan plan = engine::ShardPlan::make(batch_count());
+    const engine::ShardPlan& plan = shard_plan_;
     const std::size_t traces_done =
         plan.end(shards_merged - 1) * samples_per_batch();
     const std::size_t total = plan.total_batches * samples_per_batch();
@@ -382,6 +366,30 @@ class Campaign {
     return all_decided;
   }
 
+  LeakageReport finalize(const CampaignMoments& moments) {
+    std::vector<double> t;
+    std::vector<bool> measured;
+    compute_t(moments, t, measured);
+    if (trace_id_ != 0) {
+      obs::Tracer::global().async_end("campaign", "tvla", trace_id_);
+    }
+    LeakageReport report(std::move(t), std::move(measured),
+                         config_.threshold);
+    if (config_.budget.enabled) {
+      // `stopped_`/`traces_used_` were written under the campaign merge
+      // lock; the finisher thread observed the last shard's decrement
+      // under the scheduler mutex, which those writes happen-before.
+      static auto& traces_saved =
+          obs::Registry::global().counter("tvla.traces_saved");
+      const std::size_t full = batch_count() * samples_per_batch();
+      const std::size_t used = stopped_ ? traces_used_ : full;
+      report.set_trace_usage(used, stopped_);
+      traces_saved.add(full - used);
+    }
+    return report;
+  }
+
+ private:
   [[nodiscard]] ShardState make_shard_state() const {
     return ShardState{
         sim::Simulator(compiled_, /*seed=*/0, lane_words_),
@@ -541,29 +549,6 @@ class Campaign {
     }
   }
 
-  LeakageReport finalize(const CampaignMoments& moments) {
-    std::vector<double> t;
-    std::vector<bool> measured;
-    compute_t(moments, t, measured);
-    if (trace_id_ != 0) {
-      obs::Tracer::global().async_end("campaign", "tvla", trace_id_);
-    }
-    LeakageReport report(std::move(t), std::move(measured),
-                         config_.threshold);
-    if (config_.budget.enabled) {
-      // `stopped_`/`traces_used_` were written under the campaign merge
-      // lock; the finisher thread observed the last shard's decrement
-      // under the scheduler mutex, which those writes happen-before.
-      static auto& traces_saved =
-          obs::Registry::global().counter("tvla.traces_saved");
-      const std::size_t full = batch_count() * samples_per_batch();
-      const std::size_t used = stopped_ ? traces_used_ : full;
-      report.set_trace_usage(used, stopped_);
-      traces_saved.add(full - used);
-    }
-    return report;
-  }
-
   const netlist::Netlist& design_;
   TvlaConfig config_;
   Mode mode_;
@@ -572,6 +557,7 @@ class Campaign {
   power::SamplePlan plan_;
   bool sequential_ = false;
   std::size_t lane_words_ = 1;
+  engine::ShardPlan shard_plan_;
   std::uint64_t trace_id_ = 0;  // async span id; 0 = tracing was off
   std::vector<bool> fixed_a_, fixed_b_;
   // Early-stop state (budget-enabled campaigns only). The schedule is
@@ -670,7 +656,6 @@ std::future<LeakageReport> submit_fixed_vs_fixed(
 
 struct ShardRunner::Impl {
   std::shared_ptr<Campaign> campaign;
-  engine::ShardPlan plan;
 };
 
 ShardRunner::ShardRunner(const netlist::Netlist& design,
@@ -679,7 +664,6 @@ ShardRunner::ShardRunner(const netlist::Netlist& design,
     : impl_(std::make_unique<Impl>()) {
   impl_->campaign =
       std::make_shared<Campaign>(design, lib, config, Mode::kFixedVsRandom);
-  impl_->plan = engine::ShardPlan::make(impl_->campaign->batch_count());
 }
 
 ShardRunner::~ShardRunner() = default;
@@ -688,7 +672,9 @@ std::size_t ShardRunner::batch_count() const {
   return impl_->campaign->batch_count();
 }
 
-std::size_t ShardRunner::shard_count() const { return impl_->plan.shard_count; }
+std::size_t ShardRunner::shard_count() const {
+  return impl_->campaign->shard_plan().shard_count;
+}
 
 std::size_t ShardRunner::cost_weight() const {
   return impl_->campaign->cost_weight();
@@ -708,7 +694,7 @@ const std::vector<std::size_t>& ShardRunner::checkpoint_shards() const {
 
 bool ShardRunner::evaluate_checkpoint(const CampaignMoments& merged,
                                       std::size_t shards_merged) {
-  return impl_->campaign->checkpoint_decision(merged, shards_merged);
+  return impl_->campaign->evaluate_checkpoint(merged, shards_merged);
 }
 
 void ShardRunner::set_progress(ProgressFn progress) {
@@ -716,7 +702,7 @@ void ShardRunner::set_progress(ProgressFn progress) {
 }
 
 LeakageReport ShardRunner::finalize(const CampaignMoments& total) {
-  return impl_->campaign->finalize_moments(total);
+  return impl_->campaign->finalize(total);
 }
 
 }  // namespace polaris::tvla

@@ -12,6 +12,7 @@
 #include "engine/thread_pool.hpp"
 #include "engine/scheduler.hpp"
 #include "masking/masking.hpp"
+#include "serial_reference.hpp"
 #include "tvla/moments.hpp"
 #include "tvla/tvla.hpp"
 #include "util/rng.hpp"
@@ -154,6 +155,8 @@ TEST(CampaignMoments, MergeCombinesAllCounters) {
 }
 
 // --- Campaign determinism across thread counts -------------------------------
+// The reference is serial_reference, a serial ShardRunner loop
+// that never touches a Scheduler; every thread count must reproduce it.
 
 void expect_reports_identical(const tvla::LeakageReport& a,
                               const tvla::LeakageReport& b) {
@@ -164,36 +167,36 @@ void expect_reports_identical(const tvla::LeakageReport& a,
   }
 }
 
-TEST(TraceEngine, CombinationalReportIndependentOfThreadCount) {
+TEST(Campaign, CombinationalReportIndependentOfThreadCount) {
   const auto nl = circuits::make_aes_sbox_layer(1);
   tvla::TvlaConfig config;
   config.traces = 4096;
   config.seed = 7;
-  config.threads = 1;
-  const auto serial = tvla::run_fixed_vs_random(nl, lib(), config);
-  for (const std::size_t threads : {2u, 8u, 0u}) {
+  const auto serial = serial_reference(nl, lib(), config);
+  for (const std::size_t threads : {1u, 2u, 8u, 0u}) {
     config.threads = threads;
     expect_reports_identical(serial,
                              tvla::run_fixed_vs_random(nl, lib(), config));
   }
 }
 
-TEST(TraceEngine, SequentialReportIndependentOfThreadCount) {
+TEST(Campaign, SequentialReportIndependentOfThreadCount) {
   const auto nl = circuits::make_memctrl(4, 4);
   tvla::TvlaConfig config;
   config.traces = 8192;
   config.cycles_per_batch = 8;
   config.seed = 11;
-  config.threads = 1;
-  const auto serial = tvla::run_fixed_vs_random(nl, lib(), config);
-  for (const std::size_t threads : {2u, 8u}) {
+  const auto serial = serial_reference(nl, lib(), config);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
     config.threads = threads;
     expect_reports_identical(serial,
                              tvla::run_fixed_vs_random(nl, lib(), config));
   }
 }
 
-TEST(TraceEngine, FixedVsFixedReportIndependentOfThreadCount) {
+TEST(Campaign, FixedVsFixedReportIndependentOfThreadCount) {
+  // ShardRunner has no fixed-vs-fixed mode, so the serial scheduler run is
+  // the reference here.
   const auto nl = circuits::make_adder(8);
   tvla::TvlaConfig config;
   config.traces = 2048;
@@ -204,7 +207,7 @@ TEST(TraceEngine, FixedVsFixedReportIndependentOfThreadCount) {
   expect_reports_identical(serial, tvla::run_fixed_vs_fixed(nl, lib(), config));
 }
 
-TEST(TraceEngine, MaskedDesignReportIndependentOfThreadCount) {
+TEST(Campaign, MaskedDesignReportIndependentOfThreadCount) {
   // Masked composites add kRand cells, exercising the per-batch mask-share
   // reseeding path.
   const auto nl = circuits::make_adder(8);
@@ -215,11 +218,12 @@ TEST(TraceEngine, MaskedDesignReportIndependentOfThreadCount) {
   const auto masked = masking::apply_masking(nl, targets);
   tvla::TvlaConfig config;
   config.traces = 2048;
-  config.threads = 1;
-  const auto serial = tvla::run_fixed_vs_random(masked.design, lib(), config);
-  config.threads = 8;
-  expect_reports_identical(
-      serial, tvla::run_fixed_vs_random(masked.design, lib(), config));
+  const auto serial = serial_reference(masked.design, lib(), config);
+  for (const std::size_t threads : {1u, 8u}) {
+    config.threads = threads;
+    expect_reports_identical(
+        serial, tvla::run_fixed_vs_random(masked.design, lib(), config));
+  }
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // The global shard scheduler's determinism contract (see DESIGN.md):
 // every campaign's result - down to the last bit of every Welch t - is
 // independent of the scheduler's thread count, the queue interleaving,
-// and the order campaigns were submitted in, and equals the pre-existing
-// per-campaign TraceEngine path. Plus scheduler property tests: priority
-// order, oversubscription, zero-batch campaigns, failure isolation.
+// and the order campaigns were submitted in, and equals a serial
+// shard-by-shard ShardRunner loop that never touches a Scheduler. Plus
+// scheduler property tests: priority order, oversubscription, zero-batch
+// campaigns, failure isolation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include "core/polaris.hpp"
 #include "engine/scheduler.hpp"
 #include "masking/masking.hpp"
+#include "serial_reference.hpp"
 #include "techlib/techlib.hpp"
 #include "tvla/tvla.hpp"
 
@@ -96,17 +98,15 @@ void expect_reports_identical(const tvla::LeakageReport& a,
   }
 }
 
-// --- bit-identity vs the per-campaign path -----------------------------------
+// --- bit-identity vs a serial ShardRunner loop -------------------------------
 
 TEST(Scheduler, MatchesPerCampaignPathAtEveryThreadCount) {
   const auto cases = campaign_mix();
-  // The pre-existing per-campaign path (TraceEngine, serial) is the
-  // reference the global queue must reproduce exactly.
+  // A serial ShardRunner loop, outside any Scheduler, is the reference the
+  // global queue must reproduce exactly.
   std::vector<tvla::LeakageReport> reference;
   for (const auto& c : cases) {
-    auto config = c.config;
-    config.threads = 1;
-    reference.push_back(tvla::run_fixed_vs_random(c.design, lib(), config));
+    reference.push_back(serial_reference(c.design, lib(), c.config));
   }
 
   for (const std::size_t threads : {1u, 2u, 8u, 16u}) {
@@ -128,7 +128,7 @@ TEST(Scheduler, IndependentOfSubmissionOrder) {
   const auto cases = campaign_mix();
   std::vector<tvla::LeakageReport> reference;
   for (const auto& c : cases) {
-    reference.push_back(tvla::run_fixed_vs_random(c.design, lib(), c.config));
+    reference.push_back(serial_reference(c.design, lib(), c.config));
   }
 
   // Several deterministic shuffles of the submission order, at a thread
@@ -272,6 +272,20 @@ std::uint64_t mix(std::uint64_t campaign, std::uint64_t batch) {
   return engine::stream_seed(campaign, batch, 0x70726f70ULL);
 }
 
+/// The run_shard callable of a synthetic campaign: a copy of `init` runs
+/// every batch of the shard through `run_batch`, in ascending order.
+template <class State, class RunBatch>
+auto per_batch(std::size_t batches, State init, RunBatch run_batch) {
+  return [plan = engine::ShardPlan::make(batches), init,
+          run_batch](std::size_t shard) {
+    State state = init;
+    for (std::size_t b = plan.begin(shard); b < plan.end(shard); ++b) {
+      run_batch(state, b);
+    }
+    return state;
+  };
+}
+
 TEST(Scheduler, SyntheticCampaignsSeeEveryBatchExactlyOnce) {
   for (const std::size_t threads : {1u, 2u, 8u, 16u}) {
     engine::Scheduler scheduler(threads);
@@ -280,10 +294,10 @@ TEST(Scheduler, SyntheticCampaignsSeeEveryBatchExactlyOnce) {
     for (std::size_t c = 0; c < kCampaigns; ++c) {
       const std::size_t batches = 1 + (c * 7) % 97;
       pending.push_back(scheduler.submit<XorState>(
-          batches, /*block_words=*/1, [](std::size_t) { return XorState{}; },
-          [c](XorState& state, std::size_t batch, std::size_t) {
-            state.value ^= mix(c, batch);
-          },
+          batches, per_batch(batches, XorState{},
+              [c](XorState& state, std::size_t batch) {
+                state.value ^= mix(c, batch);
+              }),
           [](XorState& into, XorState&& from) { into.value ^= from.value; },
           [](XorState&& total) { return total.value; }));
     }
@@ -304,10 +318,10 @@ TEST(Scheduler, MergesInAscendingShardOrder) {
   // the batch order, whatever ran where.
   engine::Scheduler scheduler(8);
   auto pending = scheduler.submit<std::vector<std::uint64_t>>(
-      200, /*block_words=*/1, [](std::size_t) { return std::vector<std::uint64_t>{}; },
-      [](std::vector<std::uint64_t>& state, std::size_t batch, std::size_t) {
-        state.push_back(batch);
-      },
+      200, per_batch(200, std::vector<std::uint64_t>{},
+          [](std::vector<std::uint64_t>& state, std::size_t batch) {
+            state.push_back(batch);
+          }),
       [](std::vector<std::uint64_t>& into, std::vector<std::uint64_t>&& from) {
         into.insert(into.end(), from.begin(), from.end());
       },
@@ -321,11 +335,11 @@ TEST(Scheduler, MergesInAscendingShardOrder) {
 TEST(Scheduler, ZeroBatchCampaignFinalizesImmediately) {
   engine::Scheduler scheduler(4);
   auto pending = scheduler.submit<XorState>(
-      0, /*block_words=*/1, [](std::size_t) { return XorState{123}; },
-      [](XorState&, std::size_t, std::size_t) { FAIL() << "no batches to run"; },
+      0, per_batch(0, XorState{123},
+          [](XorState&, std::size_t) { FAIL() << "no batches to run"; }),
       [](XorState&, XorState&&) { FAIL() << "nothing to merge"; },
       [](XorState&& total) { return total.value; });
-  // Ready before any drain - TraceEngine's make(0) semantics.
+  // Ready before any drain: finalize(run_shard(0)) of the empty plan.
   EXPECT_EQ(scheduler.pending_shards(), 0u);
   EXPECT_EQ(pending.get(), 123u);
 }
@@ -333,15 +347,15 @@ TEST(Scheduler, ZeroBatchCampaignFinalizesImmediately) {
 TEST(Scheduler, FailedCampaignDoesNotPoisonOthers) {
   engine::Scheduler scheduler(4);
   auto doomed = scheduler.submit<XorState>(
-      64, /*block_words=*/1, [](std::size_t) { return XorState{}; },
-      [](XorState&, std::size_t batch, std::size_t) {
-        if (batch == 17) throw std::runtime_error("batch 17 exploded");
-      },
+      64, per_batch(64, XorState{},
+          [](XorState&, std::size_t batch) {
+            if (batch == 17) throw std::runtime_error("batch 17 exploded");
+          }),
       [](XorState& into, XorState&& from) { into.value ^= from.value; },
       [](XorState&& total) { return total.value; });
   auto healthy = scheduler.submit<XorState>(
-      64, /*block_words=*/1, [](std::size_t) { return XorState{}; },
-      [](XorState& state, std::size_t batch, std::size_t) { state.value += batch; },
+      64, per_batch(64, XorState{},
+          [](XorState& state, std::size_t batch) { state.value += batch; }),
       [](XorState& into, XorState&& from) { into.value += from.value; },
       [](XorState&& total) { return total.value; });
   scheduler.drain();
@@ -360,12 +374,12 @@ TEST(Scheduler, HeavierCampaignsDrainFirstWhenSerial) {
     }
   };
   auto light = scheduler.submit<XorState>(
-      4, /*block_words=*/1, [](std::size_t) { return XorState{}; },
-      [&record](XorState&, std::size_t, std::size_t) { record(1); },
+      4, per_batch(4, XorState{},
+          [&record](XorState&, std::size_t) { record(1); }),
       [](XorState&, XorState&&) {}, [](XorState&&) { return 0; });
   auto heavy = scheduler.submit<XorState>(
-      64, /*block_words=*/1, [](std::size_t) { return XorState{}; },
-      [&record](XorState&, std::size_t, std::size_t) { record(2); },
+      64, per_batch(64, XorState{},
+          [&record](XorState&, std::size_t) { record(2); }),
       [](XorState&, XorState&&) {}, [](XorState&&) { return 0; });
   scheduler.drain();
   (void)light.get();
@@ -395,14 +409,15 @@ TEST(Scheduler, ProgressTableTracksCampaignsMonotonically) {
     }
   };
   auto alpha = scheduler.submit<XorState>(
-      24, /*block_words=*/1, [](std::size_t) { return XorState{}; },
-      [&observe](XorState&, std::size_t, std::size_t) { observe(); },
+      24, per_batch(24, XorState{},
+          [&observe](XorState&, std::size_t) { observe(); }),
       [](XorState&, XorState&&) {}, [](XorState&&) { return 0; },
       /*weight=*/24, "alpha");
   auto beta = scheduler.submit<XorState>(
-      96, /*block_words=*/1, [](std::size_t) { return XorState{}; },
-      [](XorState&, std::size_t, std::size_t) {}, [](XorState&, XorState&&) {},
-      [](XorState&&) { return 0; }, /*weight=*/96, "beta");
+      96, per_batch(96, XorState{},
+          [](XorState&, std::size_t) {}),
+      [](XorState&, XorState&&) {}, [](XorState&&) { return 0; },
+      /*weight=*/96, "beta");
 
   // Before the drain: both rows, submission order, nothing done, and LPT
   // ranks beta (heavier) ahead of alpha in the drain queue.
