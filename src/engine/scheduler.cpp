@@ -1,5 +1,7 @@
 #include "engine/scheduler.hpp"
 
+#include <algorithm>
+
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 
@@ -40,16 +42,17 @@ ShardPlan ShardPlan::make(std::size_t total_batches) {
   return plan;
 }
 
-void Scheduler::enqueue(std::shared_ptr<CampaignTask> campaign) {
+void Scheduler::enqueue(const std::shared_ptr<CampaignTask>& campaign) {
   static auto& campaigns = obs::Registry::global().counter("sched.campaigns");
   static auto& shards = obs::Registry::global().counter("sched.shards");
   static auto& queue_at_submit =
       obs::Registry::global().histogram("sched.queue_at_submit");
+  const std::lock_guard<std::mutex> lock(mutex_);
+  campaign->sequence = next_sequence_++;
+  if (campaign->plan.shard_count == 0) return;  // submit finalizes it inline
   campaign->enqueue_ns = obs::now_ns();
   campaigns.add();
   shards.add(campaign->plan.shard_count);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  campaign->sequence = next_sequence_++;
   active_.push_back(campaign);
   for (std::size_t shard = 0; shard < campaign->plan.shard_count; ++shard) {
     queue_.push(QueueEntry{campaign, shard});
@@ -58,10 +61,50 @@ void Scheduler::enqueue(std::shared_ptr<CampaignTask> campaign) {
   queue_at_submit.record(queue_.size());
 }
 
-bool Scheduler::run_next() {
-  static auto& shard_us = obs::Registry::global().histogram("sched.shard_us");
+void Scheduler::retire(const std::shared_ptr<CampaignTask>& campaign,
+                       std::size_t claimed) {
   static auto& campaign_us =
       obs::Registry::global().histogram("sched.campaign_us");
+  bool last = false;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    last = --campaign->remaining == 0;
+    if (last) {
+      // Retire from the progress table before finish() runs: a status poll
+      // never reports a campaign whose future is about to be ready with a
+      // stale shard count.
+      for (auto it = active_.begin(); it != active_.end(); ++it) {
+        if (it->get() == campaign.get()) {
+          active_.erase(it);
+          break;
+        }
+      }
+    }
+  }
+  // The finisher saw the last decrement under the mutex, so every shard's
+  // state write happens-before finish() regardless of which threads ran
+  // them. Finalizing outside the lock keeps other threads popping.
+  if (last) {
+    obs::Span span("merge", "sched");
+    span.arg("seq", campaign->sequence);
+    campaign->finish();
+    // Campaign makespan: submit-to-finalized, queueing included.
+    campaign_us.record(static_cast<std::uint64_t>(
+        (obs::now_ns() - campaign->enqueue_ns) / 1000));
+  }
+  // A claimed shard counts as returned only now, after any finish(): a
+  // drain() woken by it finds every finished campaign's future ready.
+  if (claimed != 0) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      claimed_ -= claimed;
+    }
+    claims_returned_.notify_all();
+  }
+}
+
+bool Scheduler::run_next() {
+  static auto& shard_us = obs::Registry::global().histogram("sched.shard_us");
   static auto& shards_cancelled =
       obs::Registry::global().counter("sched.shards_cancelled");
   QueueEntry entry;
@@ -74,8 +117,8 @@ bool Scheduler::run_next() {
   if (entry.campaign->cancelled.load(std::memory_order_relaxed)) {
     // A checkpoint already decided this campaign: skip the shard body (its
     // state could never merge past the frozen ceiling anyway) so the pool
-    // slot goes to the next undecided campaign in the LPT queue. The
-    // decrement below still runs - the campaign finishes normally.
+    // slot goes to the next undecided campaign in the LPT queue. It still
+    // retires - the campaign finishes normally.
     shards_cancelled.add();
   } else {
     obs::Span span("shard", "sched");
@@ -85,43 +128,61 @@ bool Scheduler::run_next() {
     entry.campaign->run_shard(entry.shard);
     shard_us.record(static_cast<std::uint64_t>((obs::now_ns() - t0) / 1000));
   }
-  bool last = false;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    last = --entry.campaign->remaining == 0;
-    if (last) {
-      // Retire from the progress table before finish() runs: a status poll
-      // never reports a campaign whose future is about to be ready with a
-      // stale shard count.
-      for (auto it = active_.begin(); it != active_.end(); ++it) {
-        if (it->get() == entry.campaign.get()) {
-          active_.erase(it);
-          break;
+  retire(entry.campaign, 0);
+  return true;
+}
+
+std::optional<Scheduler::Claim> Scheduler::claim(std::size_t max_shards) {
+  static auto& shards_cancelled =
+      obs::Registry::global().counter("sched.shards_cancelled");
+  for (;;) {
+    QueueEntry entry;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (queue_.empty()) return std::nullopt;
+      entry = queue_.top();
+      queue_.pop();
+      if (!entry.campaign->cancelled.load(std::memory_order_relaxed)) {
+        // The heap pops a campaign's shards in ascending order, so its
+        // next shard, if still queued, is the new top.
+        Claim claim{entry.campaign->sequence, entry.shard, entry.shard + 1,
+                    entry.campaign};
+        while (claim.end - claim.begin < max_shards && !queue_.empty() &&
+               queue_.top().campaign == entry.campaign &&
+               queue_.top().shard == claim.end) {
+          queue_.pop();
+          ++claim.end;
         }
+        claimed_ += claim.end - claim.begin;
+        return claim;
       }
     }
+    shards_cancelled.add();  // stopped campaign: retire, never hand out
+    retire(entry.campaign, 0);
   }
-  // The finisher saw the last decrement under the mutex, so every shard's
-  // state write happens-before this merge regardless of which threads ran
-  // them. Merging outside the lock keeps other drain threads popping.
-  if (last) {
-    obs::Span span("merge", "sched");
-    span.arg("seq", entry.campaign->sequence);
-    entry.campaign->finish();
-    // Campaign makespan: submit-to-finalized, queueing included.
-    campaign_us.record(static_cast<std::uint64_t>(
-        (obs::now_ns() - entry.campaign->enqueue_ns) / 1000));
+}
+
+void Scheduler::release(const Claim& claim) {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t shard = claim.begin; shard < claim.end; ++shard) {
+      queue_.push(QueueEntry{claim.campaign, shard});
+    }
+    claimed_ -= claim.end - claim.begin;
   }
-  return true;
+  claims_returned_.notify_all();
 }
 
 void Scheduler::drain() {
   // Loop: a parallel_for covers the shards queued at its start; campaigns
-  // submitted while it runs are picked up by the next pass.
+  // submitted (or claims released) while it runs are picked up by the next
+  // pass. With the queue empty, wait until every claim has come back.
   for (;;) {
     std::size_t n = 0;
     {
-      const std::lock_guard<std::mutex> lock(mutex_);
+      std::unique_lock<std::mutex> lock(mutex_);
+      claims_returned_.wait(lock,
+                            [this] { return !queue_.empty() || claimed_ == 0; });
       n = queue_.size();
     }
     if (n == 0) return;

@@ -7,7 +7,9 @@
 // ThreadPool. Heavier campaigns' shards pop first (LPT order), so short
 // campaigns fill the stragglers' idle lanes instead of queueing behind
 // them. A synchronous campaign (tvla::run_*) is a private Scheduler plus
-// drain().
+// drain(). A distributed audit (server::WorkerPool) adds remote executors:
+// their feeders claim() runs of queued shards, ship them to workers, and
+// deposit() the returned states into the same merge a local shard feeds.
 //
 // Determinism contract (tested in tests/test_scheduler.cpp): a campaign's
 // result is bit-identical at every thread count, queue interleaving, and
@@ -17,11 +19,11 @@
 //    so execution placement cannot change a batch's samples;
 //  * shard states join one ascending incremental merge under the
 //    campaign's merge lock - the float op sequence is fixed, whichever
-//    thread produced each state.
+//    thread or host produced each state.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -31,6 +33,7 @@
 #include <mutex>
 #include <optional>
 #include <queue>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -91,7 +94,19 @@ struct CampaignProgress {
 };
 
 class Scheduler {
+  struct CampaignTask;
+
  public:
+  /// A run of consecutive queued shards [begin, end) of one campaign, taken
+  /// out of the queue by claim() for an external executor. Every claimed
+  /// shard must come back exactly once, through deposit() or release().
+  struct Claim {
+    std::uint64_t sequence = 0;  // the campaign's submission sequence
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    std::shared_ptr<CampaignTask> campaign;
+  };
+
   /// `threads` caps the drain fan-out: 0 = all hardware threads, 1 = fully
   /// serial (drain runs every shard inline, in strict priority order).
   explicit Scheduler(std::size_t threads = 0)
@@ -115,7 +130,8 @@ class Scheduler {
   /// batch count. An exception from any callable fails only this campaign:
   /// its remaining shards are skipped and the future rethrows on get().
   /// Zero-batch campaigns finalize run_shard(0) - shard 0 of an empty plan
-  /// covers no batch - inline and return a ready future.
+  /// covers no batch - inline and return a ready future. Sequences count
+  /// every submit from 0, zero-batch campaigns included.
   ///
   /// Every shard state joins ONE ascending incremental merge as soon as its
   /// predecessors have: shard 0 seeds the total and shard k merges into it
@@ -154,24 +170,43 @@ class Scheduler {
     campaign->checkpoint = std::move(checkpoint);
     campaign->checkpoint_shards = std::move(checkpoints);
     campaign->stop_at = campaign->plan.shard_count;
-    std::future<Result> future = campaign->promise.get_future();
-    if (campaign->plan.shard_count == 0) {
-      campaign->finish();  // finalize(run_shard(0))
-      return future;
-    }
     campaign->states.resize(campaign->plan.shard_count);
     campaign->remaining = campaign->plan.shard_count;
-    enqueue(std::move(campaign));
+    std::future<Result> future = campaign->promise.get_future();
+    enqueue(campaign);
+    if (campaign->plan.shard_count == 0) campaign->finish();
     return future;
   }
 
+  /// Takes up to `max_shards` consecutive queued shards of the campaign at
+  /// the head of the LPT queue; nullopt when the queue is empty. Shards of
+  /// a campaign a checkpoint already stopped are retired on the way, never
+  /// handed out. drain() keeps waiting while claimed shards are out.
+  [[nodiscard]] std::optional<Claim> claim(std::size_t max_shards);
+
+  /// Feeds the state of claimed shard `shard` (begin <= shard < end, each
+  /// once) into its campaign's ascending merge and checkpoints, exactly as
+  /// a shard run by drain() would. `State` is the campaign's state type.
+  template <class State>
+  void deposit(const Claim& claim, std::size_t shard, State state) {
+    static_cast<StateCampaign<State>&>(*claim.campaign)
+        .deposit(shard, std::move(state));
+    retire(claim.campaign, 1);
+  }
+
+  /// Returns a claim's shards to the queue (a lost or failed remote
+  /// chunk); drain() then runs them locally or hands them out again.
+  void release(const Claim& claim);
+
   /// Executes every queued shard on the shared pool (the calling thread
   /// participates) and returns once all submitted campaigns have finished.
-  /// Shards submitted while draining are included. Safe to call from
-  /// inside a pool job: the fan-out then runs inline (see ThreadPool).
+  /// Shards submitted while draining are included; while claimed shards
+  /// are out, drain() waits on a condition variable for them to be
+  /// deposited or released. Safe to call from inside a pool job: the
+  /// fan-out then runs inline (see ThreadPool).
   void drain();
 
-  /// Shards still queued (not yet claimed by drain). Test/bench hook.
+  /// Shards still queued (not yet popped or claimed). Test/bench hook.
   [[nodiscard]] std::size_t pending_shards() const;
 
   /// Per-campaign progress table of every submitted-but-unfinalized
@@ -183,9 +218,9 @@ class Scheduler {
 
  private:
   /// Type-erased campaign control block. `remaining` is guarded by the
-  /// scheduler mutex; each shard's state slot is written by exactly one
-  /// drain thread and read by the finisher after the last decrement, so
-  /// the mutex ordering publishes every slot.
+  /// scheduler mutex; the merge state is guarded by the campaign's merge
+  /// mutex and read by the finisher after the last decrement, so the
+  /// mutex ordering publishes it.
   struct CampaignTask {
     virtual ~CampaignTask() = default;
     /// Runs one shard and feeds its state to the merge. Never throws:
@@ -210,9 +245,16 @@ class Scheduler {
     std::atomic<bool> cancelled{false};
   };
 
+  /// The typed seam deposit() reaches a campaign through.
+  template <class State>
+  struct StateCampaign : CampaignTask {
+    /// Feeds one shard state to the merge. Never throws (see run_shard).
+    virtual void deposit(std::size_t shard, State state) noexcept = 0;
+  };
+
   template <class State, class Result, class RunShard, class Merge,
             class Finalize>
-  struct TypedCampaign final : CampaignTask {
+  struct TypedCampaign final : StateCampaign<State> {
     TypedCampaign(RunShard run, Merge merge, Finalize finalize)
         : run(std::move(run)),
           merge(std::move(merge)),
@@ -222,6 +264,15 @@ class Scheduler {
       if (failed.load(std::memory_order_relaxed)) return;  // doomed campaign
       try {
         accept(shard, run(shard));
+      } catch (...) {
+        fail(std::current_exception());
+      }
+    }
+
+    void deposit(std::size_t shard, State state) noexcept override {
+      if (failed.load(std::memory_order_relaxed)) return;
+      try {
+        accept(shard, std::move(state));
       } catch (...) {
         fail(std::current_exception());
       }
@@ -246,7 +297,7 @@ class Scheduler {
           ++next_checkpoint;
           if (checkpoint(*merged, merged_upto)) {
             stop_at = merged_upto;  // freeze: no later state ever merges
-            cancelled.store(true, std::memory_order_relaxed);
+            this->cancelled.store(true, std::memory_order_relaxed);
             break;
           }
         }
@@ -312,10 +363,15 @@ class Scheduler {
     }
   };
 
-  void enqueue(std::shared_ptr<CampaignTask> campaign);
-  /// Pops and executes one shard; runs the campaign's finish() if it was
-  /// the last. Returns false when the queue was empty.
+  void enqueue(const std::shared_ptr<CampaignTask>& campaign);
+  /// Pops and executes one shard, then retires it. Returns false when the
+  /// queue was empty.
   bool run_next();
+  /// Counts `shards` of `campaign` as done (executed, deposited, or
+  /// skipped) - `claimed` of them returned from a claim - and runs the
+  /// campaign's finish() if they were its last.
+  void retire(const std::shared_ptr<CampaignTask>& campaign,
+              std::size_t claimed);
 
   mutable std::mutex mutex_;
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, EntryOrder> queue_;
@@ -326,6 +382,8 @@ class Scheduler {
   std::vector<std::shared_ptr<CampaignTask>> active_;
   std::size_t threads_;
   std::uint64_t next_sequence_ = 0;
+  std::size_t claimed_ = 0;  // shards out on claims, not yet returned
+  std::condition_variable claims_returned_;  // claimed_ fell, or a release
 };
 
 }  // namespace polaris::engine

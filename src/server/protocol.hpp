@@ -230,11 +230,11 @@ struct FlightRecordEntry {
 struct WorkerHealthEntry {
   std::string endpoint;          // display form of the worker's endpoint
   bool alive = true;             // false once the feeder thread gave up
-  std::uint64_t inflight = 0;    // shard chunks sent but not yet answered
+  std::uint64_t inflight = 0;    // shards sent but not yet answered
   std::uint64_t shards_done = 0; // shards whose moments arrived
   std::uint64_t bytes_out = 0;   // request payload bytes shipped
   std::uint64_t bytes_in = 0;    // moments payload bytes received
-  std::uint64_t resends = 0;     // chunks requeued after loss/timeout
+  std::uint64_t resends = 0;     // shards requeued after loss/timeout
 };
 
 struct StatusReply {

@@ -3,10 +3,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <deque>
-#include <optional>
+#include <future>
 #include <set>
 #include <thread>
 
@@ -17,8 +16,16 @@ namespace polaris::server {
 namespace {
 
 /// Client-side socket poll cadence: SO_*TIMEO expiry re-checks the cancel
-/// probe, which enforces the per-roundtrip deadline and batch completion.
+/// probe, which enforces the per-roundtrip deadline.
 constexpr int kFeederPollMs = 100;
+/// Outstanding chunks per worker.
+constexpr std::size_t kPipelineDepth = 2;
+/// Admission control: a feeder stops sending when the request bytes of
+/// its outstanding chunks exceed this (bounds worker-side queue memory).
+constexpr std::size_t kMaxInflightBytes = std::size_t{4} << 20;
+/// Per-roundtrip deadline. A worker that exceeds it is treated as dead
+/// and its chunks go back to the queue.
+constexpr std::chrono::milliseconds kRoundtripTimeout{30000};
 
 obs::Counter& shards_out_counter() {
   static auto& counter = obs::Registry::global().counter("net.shards_out");
@@ -39,64 +46,15 @@ obs::Counter& resends_counter() {
 
 }  // namespace
 
-/// Shared state of one audit() call. Lanes pull chunks from the queue;
-/// completed shard moments land in per-(design, shard) slots (distinct
-/// objects, so concurrent stores never race); `remaining` counts shards
-/// still unstored and flips `done` at zero.
-struct WorkerPool::Batch {
-  struct Chunk {
-    std::size_t design = 0;
-    std::size_t begin = 0;  // shard range [begin, end)
-    std::size_t end = 0;
-  };
-
+/// One audit() call: the private scheduler every lane drains and every
+/// feeder claims from, plus what a feeder needs to describe a claim to its
+/// worker. Campaign d is the d-th submit to the fresh scheduler, so a
+/// claim's sequence is its design index.
+struct WorkerPool::Audit {
   std::span<const circuits::Design> designs;
-  const core::PolarisConfig* config = nullptr;
+  const core::PolarisConfig& config;
   std::vector<std::uint64_t> fingerprints;  // per design
-  std::vector<std::unique_ptr<tvla::ShardRunner>> runners;
-  std::vector<std::vector<std::optional<tvla::CampaignMoments>>> slots;
-
-  std::mutex queue_mutex;
-  std::deque<Chunk> queue;
-  std::atomic<std::size_t> remaining{0};
-  std::atomic<bool> done{false};
-  std::atomic<bool> failed{false};
-  std::mutex error_mutex;
-  std::exception_ptr error;
-
-  std::optional<Chunk> pop() {
-    const std::lock_guard<std::mutex> lock(queue_mutex);
-    if (queue.empty()) return std::nullopt;
-    Chunk chunk = queue.front();
-    queue.pop_front();
-    return chunk;
-  }
-
-  /// Requeues at the FRONT: a dead worker's chunks are the oldest
-  /// outstanding work and should not wait behind the whole tail.
-  void requeue(const Chunk& chunk) {
-    const std::lock_guard<std::mutex> lock(queue_mutex);
-    queue.push_front(chunk);
-  }
-
-  void store(std::size_t design, std::size_t shard,
-             tvla::CampaignMoments moments) {
-    slots[design][shard] = std::move(moments);
-    if (remaining.fetch_sub(1) == 1) done.store(true);
-  }
-
-  void fail(std::exception_ptr error_in) {
-    {
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      if (!error) error = std::move(error_in);
-    }
-    failed.store(true);
-    done.store(true);  // release every lane
-  }
-
-  [[nodiscard]] bool finished() const {
-    return done.load() || failed.load();
-  }
+  engine::Scheduler scheduler;
 };
 
 WorkerPool::WorkerPool(WorkerPoolOptions options)
@@ -150,144 +108,74 @@ std::vector<tvla::LeakageReport> WorkerPool::audit(
     const techlib::TechLibrary& lib, const core::PolarisConfig& config,
     tvla::ProgressFn progress) {
   core::validate(config);
-  Batch batch;
-  batch.designs = designs;
-  batch.config = &config;
+  Audit audit{designs, config, {}, engine::Scheduler(options_.local_threads)};
 
-  // Compile every campaign once, up front: the coordinator needs each
-  // ShardRunner anyway for the merge replay, checkpoints, and finalize,
-  // and cost_weight() drives the LPT chunk order below.
-  batch.runners.reserve(designs.size());
-  batch.fingerprints.reserve(designs.size());
-  batch.slots.resize(designs.size());
-  std::size_t total_shards = 0;
-  for (std::size_t d = 0; d < designs.size(); ++d) {
-    batch.fingerprints.push_back(core::design_fingerprint(designs[d]));
-    batch.runners.push_back(std::make_unique<tvla::ShardRunner>(
-        designs[d].netlist, lib, core::tvla_config_for(config, designs[d])));
-    batch.slots[d].resize(batch.runners[d]->shard_count());
-    total_shards += batch.runners[d]->shard_count();
-  }
-  batch.remaining.store(total_shards);
-  if (total_shards == 0) batch.done.store(true);
-
-  // LPT chunk order: heaviest campaign first (ties by input order), then
-  // ascending shard ranges within a campaign - the same weight-desc /
-  // sequence-asc / shard-asc policy the local scheduler queue uses.
-  std::vector<std::size_t> order(designs.size());
-  for (std::size_t d = 0; d < designs.size(); ++d) order[d] = d;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return batch.runners[a]->cost_weight() >
-                            batch.runners[b]->cost_weight();
-                   });
-  for (const std::size_t d : order) {
-    const std::size_t shards = batch.runners[d]->shard_count();
-    for (std::size_t begin = 0; begin < shards; begin += kShardsPerChunk) {
-      Batch::Chunk chunk;
-      chunk.design = d;
-      chunk.begin = begin;
-      chunk.end = std::min(begin + kShardsPerChunk, shards);
-      batch.queue.push_back(chunk);
-    }
+  // Compile every campaign once, up front, and queue its shards: local
+  // lanes and feeders then drain one LPT queue, and every shard - local
+  // or remote - feeds the campaign's ascending merge and checkpoints.
+  std::vector<std::unique_ptr<tvla::ShardRunner>> runners;
+  std::vector<std::future<tvla::LeakageReport>> pending;
+  for (const auto& design : designs) {
+    audit.fingerprints.push_back(core::design_fingerprint(design));
+    runners.push_back(std::make_unique<tvla::ShardRunner>(
+        design.netlist, lib, core::tvla_config_for(config, design)));
+    tvla::ShardRunner* runner = runners.back().get();
+    if (progress) runner->set_progress(progress);
+    pending.push_back(audit.scheduler.submit<tvla::CampaignMoments>(
+        runner->batch_count(),
+        [runner](std::size_t shard) { return runner->run_shard(shard); },
+        [](tvla::CampaignMoments& into, tvla::CampaignMoments&& from) {
+          into.merge(from);
+        },
+        [runner](tvla::CampaignMoments&& total) {
+          return runner->finalize(total);
+        },
+        runner->cost_weight(), {}, runner->checkpoint_shards(),
+        [runner](const tvla::CampaignMoments& merged, std::size_t shards) {
+          return runner->evaluate_checkpoint(merged, shards);
+        }));
   }
 
-  // One feeder thread per remote worker, plus local lanes. At least one
-  // local lane always runs: it is the completion guarantee - any chunk a
-  // dead worker returns to the queue can be executed in-process.
-  std::vector<std::thread> lanes;
+  // One feeder thread per remote worker; the calling thread drains the
+  // local lanes, which can run anything a dead worker gives back.
+  std::vector<std::thread> feeders;
   for (const auto& slot : workers_) {
     slot->alive.store(true);
-    lanes.emplace_back([this, &batch, raw = slot.get()] {
-      feed_worker(*raw, batch);
+    feeders.emplace_back([this, &audit, raw = slot.get()] {
+      feed_worker(*raw, audit);
     });
   }
-  std::size_t local = options_.local_threads != 0
-                          ? options_.local_threads
-                          : std::thread::hardware_concurrency();
-  local = std::max<std::size_t>(1, local);
-  for (std::size_t t = 0; t < local; ++t) {
-    lanes.emplace_back([this, &batch] { run_local_lane(batch); });
-  }
-  for (auto& lane : lanes) lane.join();
-  if (batch.failed.load()) {
-    const std::lock_guard<std::mutex> lock(batch.error_mutex);
-    std::rethrow_exception(batch.error);
-  }
+  audit.scheduler.drain();
+  for (auto& feeder : feeders) feeder.join();
 
-  // Merge replay: EXACTLY the scheduler's checkpointed ascending merge
-  // (scheduler.hpp run_shard) - merge one shard, advance the cursor, fire
-  // at most one checkpoint per advance, stop merging the moment one
-  // decides. Byte-identity with single-host execution rests on this loop.
   std::vector<tvla::LeakageReport> reports;
   reports.reserve(designs.size());
-  for (std::size_t d = 0; d < designs.size(); ++d) {
-    auto& runner = *batch.runners[d];
-    if (progress) runner.set_progress(progress);
-    const std::size_t shard_count = runner.shard_count();
-    const auto& checkpoints = runner.checkpoint_shards();
-    tvla::CampaignMoments total = runner.empty_moments();
-    std::size_t merged = 0;
-    std::size_t next_checkpoint = 0;
-    while (merged < shard_count) {
-      if (merged == 0) {
-        total = std::move(*batch.slots[d][0]);
-      } else {
-        total.merge(*batch.slots[d][merged]);
-      }
-      ++merged;
-      if (next_checkpoint < checkpoints.size() &&
-          merged == checkpoints[next_checkpoint]) {
-        ++next_checkpoint;
-        if (runner.evaluate_checkpoint(total, merged)) break;
-      }
-    }
-    reports.push_back(runner.finalize(total));
-  }
+  for (auto& future : pending) reports.push_back(future.get());
   return reports;
 }
 
-void WorkerPool::run_local_lane(Batch& batch) {
-  for (;;) {
-    const auto chunk = batch.pop();
-    if (!chunk) {
-      if (batch.finished()) return;
-      // Empty queue but unstored shards: a remote worker still holds
-      // them, and might die and requeue - stay available.
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      continue;
-    }
-    try {
-      auto& runner = *batch.runners[chunk->design];
-      for (std::size_t shard = chunk->begin; shard < chunk->end; ++shard) {
-        if (batch.failed.load()) return;
-        batch.store(chunk->design, shard, runner.run_shard(shard));
-      }
-    } catch (...) {
-      batch.fail(std::current_exception());
-      return;
-    }
-  }
-}
-
-void WorkerPool::feed_worker(WorkerSlot& slot, Batch& batch) {
+void WorkerPool::feed_worker(WorkerSlot& slot, Audit& audit) {
   struct Pending {
     bool is_chunk = false;
-    Batch::Chunk chunk;       // valid when is_chunk
-    std::size_t bytes = 0;    // request payload size (admission control)
+    engine::Scheduler::Claim claim;  // valid when is_chunk
+    std::size_t bytes = 0;           // request payload size (admission)
   };
   std::deque<Pending> outstanding;
   std::set<std::size_t> installed;  // designs installed on this connection
   std::size_t inflight_bytes = 0;
   int fd = -1;
 
-  // The deadline is per roundtrip: armed when a reply wait starts,
-  // checked by the probe on every socket-timeout tick.
-  const bool has_deadline = options_.timeout_ms != 0;
+  // The deadline is per roundtrip: armed when a send or reply wait
+  // starts, checked by the probe on every socket-timeout tick.
   std::chrono::steady_clock::time_point deadline;
   const CancelProbe probe = [&] {
-    if (batch.failed.load()) return true;
-    return has_deadline && std::chrono::steady_clock::now() > deadline;
+    return std::chrono::steady_clock::now() > deadline;
+  };
+  const auto give_back = [&](const engine::Scheduler::Claim& claim) {
+    const std::size_t shards = claim.end - claim.begin;
+    slot.resends.fetch_add(shards);
+    resends_counter().add(shards);
+    audit.scheduler.release(claim);
   };
 
   try {
@@ -299,69 +187,56 @@ void WorkerPool::feed_worker(WorkerSlot& slot, Batch& batch) {
 
     std::vector<std::uint8_t> payload;
     for (;;) {
-      // Admission control: pipeline up to `pipeline_depth` chunks, but
-      // never more than `max_inflight_bytes` of unanswered request
-      // payload - a slow worker's queue stays bounded.
+      // Admission control: pipeline up to kPipelineDepth chunks, but never
+      // more than kMaxInflightBytes of unanswered request payload - a slow
+      // worker's queue stays bounded.
       std::size_t chunks_out = 0;
       for (const auto& pending : outstanding) chunks_out += pending.is_chunk;
-      while (chunks_out < options_.pipeline_depth &&
-             inflight_bytes < options_.max_inflight_bytes) {
-        const auto chunk = batch.pop();
-        if (!chunk) break;
-        deadline = std::chrono::steady_clock::now() +
-                   std::chrono::milliseconds(options_.timeout_ms);
-        // Between pop and the Pending landing in `outstanding`, the chunk
-        // is invisible to the outer requeue loop: if a send fails here
-        // (torn connection, deadline probe firing mid-EAGAIN), give the
-        // chunk back before withdrawing, or Batch::remaining never
-        // reaches zero and every surviving lane spins forever.
+      while (chunks_out < kPipelineDepth && inflight_bytes < kMaxInflightBytes) {
+        const auto claim = audit.scheduler.claim(kShardsPerChunk);
+        if (!claim) break;
+        const std::size_t design = claim->sequence;
+        const std::size_t shards = claim->end - claim->begin;
+        deadline = std::chrono::steady_clock::now() + kRoundtripTimeout;
+        // Until the Pending lands in `outstanding`, the outer handler
+        // cannot see the claim: if a send fails here (torn connection,
+        // deadline firing mid-EAGAIN), give it back before withdrawing,
+        // or drain() would wait for it forever.
         try {
-          if (installed.find(chunk->design) == installed.end()) {
-            const auto install =
-                encode_design_request(batch.designs[chunk->design]);
+          if (installed.find(design) == installed.end()) {
+            const auto install = encode_design_request(audit.designs[design]);
             write_frame(fd, install, probe);
             slot.bytes_out.fetch_add(install.size());
             bytes_counter().add(install.size());
             outstanding.push_back(Pending{});
-            installed.insert(chunk->design);
+            installed.insert(design);
           }
           ShardRequest request;
-          request.fingerprint = batch.fingerprints[chunk->design];
-          request.config = *batch.config;
-          request.shard_begin = chunk->begin;
-          request.shard_end = chunk->end;
+          request.fingerprint = audit.fingerprints[design];
+          request.config = audit.config;
+          request.shard_begin = claim->begin;
+          request.shard_end = claim->end;
           const auto frame = encode_shard_request(request);
           write_frame(fd, frame, probe);
           slot.bytes_out.fetch_add(frame.size());
           bytes_counter().add(frame.size());
-          shards_out_counter().add(chunk->end - chunk->begin);
-          Pending pending;
-          pending.is_chunk = true;
-          pending.chunk = *chunk;
-          pending.bytes = frame.size();
+          shards_out_counter().add(shards);
           inflight_bytes += frame.size();
-          outstanding.push_back(std::move(pending));
+          outstanding.push_back(Pending{true, *claim, frame.size()});
         } catch (...) {
-          slot.resends.fetch_add(chunk->end - chunk->begin);
-          resends_counter().add(chunk->end - chunk->begin);
-          batch.requeue(*chunk);
+          give_back(*claim);
           throw;
         }
-        slot.inflight.fetch_add(1);
+        slot.inflight.fetch_add(shards);
         ++chunks_out;
       }
-      if (outstanding.empty()) {
-        if (batch.finished()) break;
-        // Queue drained but shards remain elsewhere; new chunks can
-        // reappear if another worker dies.
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        continue;
-      }
+      // Nothing owed and nothing left to claim: this feeder is done. A
+      // chunk another feeder gives back later runs on the local lanes.
+      if (outstanding.empty()) break;
 
       // One reply, FIFO: the worker serves a connection's frames in
       // order, so the front pending is always the one being answered.
-      deadline = std::chrono::steady_clock::now() +
-                 std::chrono::milliseconds(options_.timeout_ms);
+      deadline = std::chrono::steady_clock::now() + kRoundtripTimeout;
       const FrameResult result =
           read_frame(fd, options_.max_frame, payload, probe);
       if (result != FrameResult::kFrame) {
@@ -382,73 +257,67 @@ void WorkerPool::feed_worker(WorkerSlot& slot, Batch& batch) {
         }
         continue;
       }
+      const auto& claim = pending.claim;
+      const std::size_t shards = claim.end - claim.begin;
       inflight_bytes -= pending.bytes;
-      slot.inflight.fetch_sub(1);
+      slot.inflight.fetch_sub(shards);
       if (response.status == Status::kUnknownDesign) {
         // Worker restarted between install and shard request: force a
         // re-install on the next send and give the chunk back.
-        installed.erase(pending.chunk.design);
-        slot.resends.fetch_add(pending.chunk.end - pending.chunk.begin);
-        resends_counter().add(pending.chunk.end - pending.chunk.begin);
-        batch.requeue(pending.chunk);
+        installed.erase(claim.sequence);
+        give_back(claim);
         continue;
       }
-      // The chunk left `outstanding` above, so from here until its
-      // shards are stored, a throw would strand it in neither the
-      // outstanding list nor the queue - the campaign would never
-      // complete. Validate the WHOLE reply first, store only after
-      // (store never throws), and requeue the chunk on any failure.
+      // The chunk left `outstanding` above, so from here until its shards
+      // are deposited, a throw would strand the claim - drain() would
+      // never return. Validate the WHOLE reply first, deposit only after,
+      // and give the chunk back on any failure.
+      ShardReply reply;
       try {
         if (response.status != Status::kOk) {
           throw std::runtime_error("polaris net: worker '" + slot.display +
                                    "' failed shard request: " +
                                    response.message);
         }
-        ShardReply reply = decode_shard_reply(response.body);
-        if (reply.shards.size() !=
-            pending.chunk.end - pending.chunk.begin) {
+        reply = decode_shard_reply(response.body);
+        if (reply.shards.size() != shards) {
           throw std::runtime_error("polaris net: worker '" + slot.display +
                                    "' answered the wrong shard count");
         }
         // The worker fills a chunk's shards in ascending order, so entry
         // i must be exactly begin + i. This is stricter than a range
-        // check on purpose: a duplicate in-range index would
-        // double-store one slot and double-decrement Batch::remaining,
-        // flipping `done` with shards still unstored - then the merge
-        // replay dereferences an empty slot. Network input never gets to
-        // do that, which is why validation completes before any store.
+        // check on purpose: a duplicate in-range index would feed one
+        // shard twice and another never, and drain() would wait for the
+        // missing one forever. Network input never gets to do that, which
+        // is why validation completes before any deposit.
         for (std::size_t i = 0; i < reply.shards.size(); ++i) {
-          if (reply.shards[i].shard != pending.chunk.begin + i) {
+          if (reply.shards[i].shard != claim.begin + i) {
             throw std::runtime_error("polaris net: worker '" + slot.display +
                                      "' answered an unrequested shard");
           }
         }
-        for (auto& result_in : reply.shards) {
-          batch.store(pending.chunk.design,
-                      static_cast<std::size_t>(result_in.shard),
-                      std::move(result_in.moments));
-        }
-        slot.shards_done.fetch_add(reply.shards.size());
-        moments_in_counter().add(reply.shards.size());
       } catch (...) {
-        slot.resends.fetch_add(pending.chunk.end - pending.chunk.begin);
-        resends_counter().add(pending.chunk.end - pending.chunk.begin);
-        batch.requeue(pending.chunk);
+        give_back(claim);
         throw;
       }
+      for (auto& result_in : reply.shards) {
+        audit.scheduler.deposit(claim,
+                                static_cast<std::size_t>(result_in.shard),
+                                std::move(result_in.moments));
+      }
+      slot.shards_done.fetch_add(shards);
+      moments_in_counter().add(shards);
     }
   } catch (const std::exception&) {
     // Worker lost (unreachable, timed out, torn connection, or a failed
-    // request): requeue every unacknowledged chunk for the surviving
-    // lanes and withdraw from this batch. The chunks may have executed
-    // remotely - that is harmless, re-running a shard yields the same
-    // bits and only one copy is ever stored (nothing was stored here).
+    // request): give every unanswered chunk back for the surviving lanes
+    // and withdraw. The chunks may have executed remotely - that is
+    // harmless, re-running a shard yields the same bits and only one copy
+    // is ever deposited (nothing was deposited here).
     for (const auto& pending : outstanding) {
       if (!pending.is_chunk) continue;
-      slot.inflight.fetch_sub(1);
-      slot.resends.fetch_add(pending.chunk.end - pending.chunk.begin);
-      resends_counter().add(pending.chunk.end - pending.chunk.begin);
-      batch.requeue(pending.chunk);
+      slot.inflight.fetch_sub(pending.claim.end - pending.claim.begin);
+      give_back(pending.claim);
     }
     slot.alive.store(false);
   }

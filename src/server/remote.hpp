@@ -1,32 +1,30 @@
-// Distributed shard coordinator: fans a multi-design TVLA audit out over
-// local lanes plus remote shard workers (server/worker.hpp), and merges
-// the per-shard moment blocks back in EXACTLY the single-host order.
+// Distributed shard coordinator: runs a multi-design TVLA audit on local
+// lanes plus remote shard workers (server/worker.hpp), through the same
+// engine::Scheduler every local campaign uses.
 //
-// Work decomposition reuses the engine's own unit: every campaign's
-// engine::ShardPlan already splits the trace budget into shards whose
-// per-shard statistics are a pure function of (design, config, shard
-// index). The pool chunks consecutive shards (kShardsPerChunk) into work
-// units, orders chunks LPT-style (heaviest campaign first, ascending
-// shard within a campaign), and lets every lane - local threads and one
-// feeder thread per remote worker - pull from one shared queue.
-//
-// Bit-identity contract: the coordinator collects UNMERGED per-shard
-// moments and replays the scheduler's ascending merge (shard 0, 1, 2...,
-// firing early-stop checkpoints at exactly the same shard-prefix counts),
-// so audit output is byte-identical to a single-host run at ANY worker
-// count, including zero and including workers dying mid-campaign.
+// audit() submits each design's campaign (a tvla::ShardRunner's run_shard,
+// merge, finalize and checkpoints) to a private Scheduler and drains it on
+// `local_threads` lanes. One feeder thread per remote worker claims up to
+// kShardsPerChunk consecutive shards of one campaign from that scheduler's
+// queue, in LPT order, ships them, validates the reply, and deposits each
+// shard's moments into the campaign's ascending incremental merge - the
+// one a local shard feeds, early-stop checkpoints included. A shard's
+// moments are a pure function of (design, config, shard index), so audit
+// output is byte-identical to a single-host run at ANY worker count,
+// including zero and including workers dying mid-campaign. Once a
+// checkpoint stops a campaign, its unclaimed shards are neither run nor
+// sent.
 //
 // Failure semantics: a worker that cannot be reached, times out, or
-// closes its connection is marked dead; its unacknowledged chunks go back
-// on the shared queue (counted as resends) and are completed by the
-// remaining lanes - a campaign always finishes as long as the
-// coordinator itself lives, because local lanes can run anything.
+// closes its connection is marked dead; its unanswered chunks are released
+// back to the queue (counted as resends) and completed by the remaining
+// lanes - a campaign always finishes as long as the coordinator itself
+// lives, because local lanes can run anything.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -44,16 +42,8 @@ namespace polaris::server {
 inline constexpr std::size_t kShardsPerChunk = 4;
 
 struct WorkerPoolOptions {
-  std::string workers;             // comma-separated endpoint specs
-  std::size_t local_threads = 0;   // local lanes; 0 = all hardware threads
-  std::size_t pipeline_depth = 2;  // outstanding chunks per worker
-  /// Admission control: a feeder stops sending when the request bytes of
-  /// its outstanding chunks exceed this (bounds worker-side queue memory).
-  std::size_t max_inflight_bytes = std::size_t{4} << 20;
-  /// Per-roundtrip deadline. A worker that exceeds it is treated as dead
-  /// and its chunks are requeued; 0 disables the deadline (a hung worker
-  /// would then pin its chunks forever, so keep it on in production).
-  std::size_t timeout_ms = 30000;
+  std::string workers;            // comma-separated endpoint specs
+  std::size_t local_threads = 0;  // local lanes; 0 = all hardware threads
   std::size_t max_frame = kDefaultMaxFrame;
 };
 
@@ -71,7 +61,8 @@ class WorkerPool {
   /// Audits every design, one result per input design in input order -
   /// the distributed drop-in for core::audit_designs, byte-identical
   /// output included. `progress` mirrors the scheduler path: it fires on
-  /// early-stop checkpoint evaluations during the merge replay.
+  /// early-stop checkpoint evaluations, on whichever local lane or feeder
+  /// thread completed the merged prefix. A failed campaign rethrows here.
   [[nodiscard]] std::vector<tvla::LeakageReport> audit(
       std::span<const circuits::Design> designs,
       const techlib::TechLibrary& lib, const core::PolarisConfig& config,
@@ -81,7 +72,7 @@ class WorkerPool {
   [[nodiscard]] std::vector<WorkerHealthEntry> health() const;
 
   struct Totals {
-    std::uint64_t shards_out = 0;   // shards shipped to remote workers
+    std::uint64_t shards_out = 0;   // shards answered plus still in flight
     std::uint64_t moments_in = 0;   // shard moment blocks received back
     std::uint64_t bytes = 0;        // payload bytes, both directions
     std::uint64_t resends = 0;      // shards requeued after worker loss
@@ -95,17 +86,16 @@ class WorkerPool {
     net::Endpoint endpoint;
     std::string display;
     std::atomic<bool> alive{true};
-    std::atomic<std::uint64_t> inflight{0};
+    std::atomic<std::uint64_t> inflight{0};  // shards, like the rest
     std::atomic<std::uint64_t> shards_done{0};
     std::atomic<std::uint64_t> bytes_out{0};
     std::atomic<std::uint64_t> bytes_in{0};
     std::atomic<std::uint64_t> resends{0};
   };
 
-  struct Batch;  // one audit() call's shared state (remote.cpp)
+  struct Audit;  // one audit() call's scheduler and design table
 
-  void feed_worker(WorkerSlot& slot, Batch& batch);
-  void run_local_lane(Batch& batch);
+  void feed_worker(WorkerSlot& slot, Audit& audit);
 
   WorkerPoolOptions options_;
   std::vector<std::unique_ptr<WorkerSlot>> workers_;
