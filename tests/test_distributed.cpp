@@ -20,6 +20,7 @@
 #include "circuits/suite.hpp"
 #include "core/polaris.hpp"
 #include "netlist/netlist_io.hpp"
+#include "obs/obs.hpp"
 #include "server/client.hpp"
 #include "server/net.hpp"
 #include "server/protocol.hpp"
@@ -112,7 +113,7 @@ TEST(DistributedCodec, MomentsRoundTripBitExactly) {
 
   // Re-encoding the decoded state must reproduce the archive byte for
   // byte - the accumulator survived the trip with every IEEE-754 bit
-  // pattern intact, which is exactly what the merge replay requires.
+  // pattern intact, which is exactly what the coordinator's merge needs.
   serialize::Writer again;
   tvla::write_moments(again, back);
   EXPECT_EQ(bytes, again.finish());
@@ -310,10 +311,10 @@ TEST(DistributedAudit, BitIdenticalToSingleHostAtEveryWorkerCount) {
 }
 
 TEST(DistributedAudit, EarlyStopBudgetReplaysCheckpointsIdentically) {
-  // The budget path is where the merge-replay contract earns its keep: the
-  // coordinator must fire checkpoint evaluations at exactly the scheduler's
-  // shard-prefix counts, stop at the same prefix, and discard the same
-  // tail shards.
+  // The budget path is where the one-merge contract earns its keep: with
+  // remote and local shards feeding one ascending merge, checkpoint
+  // evaluations must fire at exactly the single-host shard-prefix counts,
+  // stop at the same prefix, and discard the same tail shards.
   auto config = audit_config();
   config.tvla.traces = 2048;
   config.tvla.budget.enabled = true;
@@ -331,6 +332,45 @@ TEST(DistributedAudit, EarlyStopBudgetReplaysCheckpointsIdentically) {
   for (std::size_t d = 0; d < expected.size(); ++d) {
     expect_reports_bit_identical(reports[d], expected[d]);
   }
+}
+
+TEST(DistributedAudit, EarlyStopSkipsUnclaimedShards) {
+  // A design that leaks hard stops LEAKY at its first checkpoint. Remote
+  // and local shards feed the same merge, so the stop must also keep the
+  // campaign's remaining shards from being simulated or sent: the shards
+  // executed anywhere in this process (the in-process worker included,
+  // counted through tvla.traces_run) stay below the plan's shard count.
+  auto config = audit_config();
+  config.tvla.traces = 65536;
+  config.tvla.budget.enabled = true;
+  config.tvla.budget.min_traces = 1024;
+  std::vector<circuits::Design> designs;
+  designs.push_back(circuits::load_design("square", 0.3));
+  const auto expected = core::audit_designs(designs, lib(), config);
+  ASSERT_TRUE(expected[0].early_stopped());
+  const tvla::ShardRunner runner(designs[0].netlist, lib(),
+                                 core::tvla_config_for(config, designs[0]));
+  const std::size_t shard_count = runner.shard_count();
+  const std::size_t traces_per_shard = config.tvla.traces / shard_count;
+  ASSERT_EQ(traces_per_shard * shard_count, config.tvla.traces);
+
+  Fleet fleet(1);
+  server::WorkerPoolOptions options;
+  options.workers = fleet.endpoints;
+  options.local_threads = 1;
+  server::WorkerPool pool(options);
+  auto& traces_run = obs::Registry::global().counter("tvla.traces_run");
+  const std::uint64_t traces_before = traces_run.value();
+  const auto reports = pool.audit(designs, lib(), config);
+  const std::uint64_t traces_simulated = traces_run.value() - traces_before;
+  ASSERT_EQ(reports.size(), 1u);
+  expect_reports_bit_identical(reports[0], expected[0]);
+
+  const std::uint64_t shards_executed = traces_simulated / traces_per_shard;
+  EXPECT_EQ(shards_executed * traces_per_shard, traces_simulated);
+  EXPECT_LE(fleet.workers[0]->shards_run(), shards_executed);
+  EXPECT_LT(shards_executed, shard_count);
+  EXPECT_LT(pool.totals().shards_out, shard_count);
 }
 
 TEST(DistributedAudit, DeadEndpointFallsBackToLocalLanes) {
@@ -414,11 +454,10 @@ TEST(DistributedAudit, HealthAndTotalsTrackTheFleet) {
 TEST(DistributedAudit, DuplicateShardIndexInReplyIsRejectedNotMerged) {
   // A protocol-correct but buggy worker answers a shard request with the
   // right count but one in-range index duplicated. Each entry must be
-  // exactly begin + i: a duplicate would double-store one slot and
-  // double-decrement the remaining count, flipping `done` with shards
-  // still unstored - the merge replay would then read an empty slot. The
-  // coordinator must instead drop the worker, requeue the chunk, and let
-  // the local lanes finish with identical bits. The campaign is long and
+  // exactly begin + i: a duplicate would feed one shard to the merge twice
+  // and another never, and the audit would wait for the missing one
+  // forever. The coordinator must instead drop the worker, requeue the
+  // chunk, and let the local lanes finish with identical bits. The campaign is long and
   // the local side single-threaded so the feeder is guaranteed to win
   // chunks from the shared queue before the lanes drain it.
   auto config = audit_config();
