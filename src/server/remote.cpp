@@ -137,8 +137,9 @@ std::vector<tvla::LeakageReport> WorkerPool::audit(
   }
 
   // One feeder thread per remote worker; the calling thread drains the
-  // local lanes, which can run anything a dead worker gives back.
-  std::vector<std::thread> feeders;
+  // local lanes, which can run anything a dead worker gives back. jthread
+  // joins on every exit path, before `audit` and `runners` go away.
+  std::vector<std::jthread> feeders;
   for (const auto& slot : workers_) {
     slot->alive.store(true);
     feeders.emplace_back([this, &audit, raw = slot.get()] {

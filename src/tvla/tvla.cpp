@@ -278,10 +278,11 @@ class Campaign {
   }
 
  private:
-  /// Everything one shard mutates while it runs: its own K-word simulator, one
-  /// per-batch stimulus stream and class mask per lane word, the mergeable
-  /// statistics, and the per-(word, lane) group energy scratch (the fused
-  /// power accumulation - no per-lane power vector is ever materialized).
+  /// Everything one shard mutates while it runs: its own K-word simulator,
+  /// one per-batch stimulus stream and class mask per lane word, the
+  /// mergeable statistics, and the per-(word, lane) group energy scratch
+  /// (the fused power accumulation - no per-lane power vector is ever
+  /// materialized).
   struct ShardState {
     sim::Simulator simulator;
     std::vector<util::Xoshiro256> stimulus;   // one stream per lane word
@@ -364,29 +365,6 @@ class Campaign {
     checkpoint_us.record(
         static_cast<std::uint64_t>((obs::now_ns() - t0) / 1000));
     return all_decided;
-  }
-
-  LeakageReport finalize(const CampaignMoments& moments) {
-    std::vector<double> t;
-    std::vector<bool> measured;
-    compute_t(moments, t, measured);
-    if (trace_id_ != 0) {
-      obs::Tracer::global().async_end("campaign", "tvla", trace_id_);
-    }
-    LeakageReport report(std::move(t), std::move(measured),
-                         config_.threshold);
-    if (config_.budget.enabled) {
-      // `stopped_`/`traces_used_` were written under the campaign merge
-      // lock; the finisher thread observed the last shard's decrement
-      // under the scheduler mutex, which those writes happen-before.
-      static auto& traces_saved =
-          obs::Registry::global().counter("tvla.traces_saved");
-      const std::size_t full = batch_count() * samples_per_batch();
-      const std::size_t used = stopped_ ? traces_used_ : full;
-      report.set_trace_usage(used, stopped_);
-      traces_saved.add(full - used);
-    }
-    return report;
   }
 
  private:
@@ -549,6 +527,31 @@ class Campaign {
     }
   }
 
+ public:
+  LeakageReport finalize(const CampaignMoments& moments) {
+    std::vector<double> t;
+    std::vector<bool> measured;
+    compute_t(moments, t, measured);
+    if (trace_id_ != 0) {
+      obs::Tracer::global().async_end("campaign", "tvla", trace_id_);
+    }
+    LeakageReport report(std::move(t), std::move(measured),
+                         config_.threshold);
+    if (config_.budget.enabled) {
+      // `stopped_`/`traces_used_` were written under the campaign merge
+      // lock; the finisher thread observed the last shard's decrement
+      // under the scheduler mutex, which those writes happen-before.
+      static auto& traces_saved =
+          obs::Registry::global().counter("tvla.traces_saved");
+      const std::size_t full = batch_count() * samples_per_batch();
+      const std::size_t used = stopped_ ? traces_used_ : full;
+      report.set_trace_usage(used, stopped_);
+      traces_saved.add(full - used);
+    }
+    return report;
+  }
+
+ private:
   const netlist::Netlist& design_;
   TvlaConfig config_;
   Mode mode_;
