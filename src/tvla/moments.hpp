@@ -75,8 +75,9 @@ class MomentAccumulator {
   double s2_ = 0.0;  // sum (x-mean)^2
 };
 
-/// Mergeable per-campaign statistics block - the unit of state a trace
-/// shard accumulates and the engine merges (engine/trace_engine.hpp).
+/// Mergeable per-campaign statistics block - the state a trace shard
+/// returns and engine::Scheduler merges in ascending shard order
+/// (engine/scheduler.hpp), whichever thread or host ran the shard.
 ///
 /// Two representations coexist, mirroring the campaign fast paths:
 ///  * single-member gate groups: samples are binary {0, E}, so only toggle

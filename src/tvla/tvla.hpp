@@ -15,14 +15,15 @@
 // Sequential designs (DFFs present) run free-running multi-cycle traces with
 // per-cycle sampling instead of vector pairs.
 //
-// Execution: campaigns are a thin protocol layer over the shard-parallel
-// trace engine (engine/trace_engine.hpp). The design is compiled once per
+// Execution: campaigns are a thin protocol layer over engine::Scheduler
+// (engine/scheduler.hpp), the one executor - the synchronous run_* entry
+// points drain a private scheduler. The design is compiled once per
 // campaign (sim::CompiledDesign) together with a fused toggle/energy
 // sampling plan (power::SamplePlan); the trace budget is split into
-// shards, each owning a thin Simulator over the shared plan plus
-// per-batch-keyed RNG streams; shard statistics are mergeable
-// CampaignMoments combined in shard order. Reports are bit-identical for
-// every `threads` setting (see DESIGN.md).
+// shards, each running a thin Simulator over the shared plan plus
+// per-batch-keyed RNG streams and returning mergeable CampaignMoments,
+// which join one ascending merge. Reports are bit-identical for every
+// `threads` setting (see DESIGN.md).
 #pragma once
 
 #include <cstdint>
@@ -178,8 +179,8 @@ class LeakageReport {
 /// Checkpoint observer for budget-enabled campaigns (streaming audits):
 /// called once per checkpoint in milestone order with the partial report
 /// computed from the merged shard prefix and the traces it covers. Runs
-/// under the campaign's merge lock on whichever drain thread crossed the
-/// milestone - never concurrently with itself for one campaign. An
+/// under the campaign's merge lock on whichever thread (a drain lane or a
+/// remote feeder) completed the milestone's prefix - never concurrently with itself for one campaign. An
 /// exception thrown from the observer fails the campaign (the future
 /// rethrows it). Ignored when the budget is disabled.
 using ProgressFn =
@@ -187,18 +188,21 @@ using ProgressFn =
 
 /// Shard-granular access to a fixed-vs-random campaign - the seam the
 /// distributed backend (server/remote.hpp, server/worker.hpp) executes
-/// through. A ShardRunner owns exactly the campaign context the scheduler
-/// path owns (compiled design, power model, sampling plan, fixed vectors,
-/// checkpoint schedule); run_shard(s) produces the same CampaignMoments
-/// shard s accumulates under any scheduler, thread count, or lane width,
-/// so per-shard moments computed on ANY host merge - in ascending shard
-/// order - into a report bit-identical to the single-host entry points.
+/// through. A ShardRunner owns exactly the campaign the entry points below
+/// build (compiled design, power model, sampling plan, fixed vectors,
+/// checkpoint schedule); run_shard(s) is the very function the scheduler
+/// runs for shard s, so per-shard moments computed on ANY host merge - in
+/// ascending shard order - into a report bit-identical to the single-host
+/// entry points.
 ///
-/// The caller owns the merge loop: merge shard moments ascending, calling
-/// evaluate_checkpoint after each prefix listed in checkpoint_shards()
-/// (budget-enabled campaigns; a true return stops the merge at that
-/// prefix), then finalize() the merged total. run_shard is const and
-/// thread-safe; evaluate_checkpoint/finalize are single-threaded.
+/// The merge belongs to the caller: either hand run_shard, merge,
+/// finalize and the checkpoints to engine::Scheduler::submit (as
+/// server::WorkerPool does), or merge shard moments ascending by hand,
+/// calling evaluate_checkpoint after each prefix listed in
+/// checkpoint_shards() (budget-enabled campaigns; a true return stops the
+/// merge at that prefix), then finalize() the merged total. run_shard is
+/// const and thread-safe; evaluate_checkpoint/finalize are
+/// single-threaded.
 class ShardRunner {
  public:
   /// Compiles the design once. Throws like the campaign entry points on
@@ -220,8 +224,7 @@ class ShardRunner {
 
   /// Runs shard `shard` of the plan into a fresh moments block.
   [[nodiscard]] CampaignMoments run_shard(std::size_t shard) const;
-  /// A zeroed moments block with the campaign's group layout - the merge
-  /// identity, and the finalize input for zero-shard campaigns.
+  /// A zeroed moments block with the campaign's group layout.
   [[nodiscard]] CampaignMoments empty_moments() const;
 
   /// Ascending shard-prefix counts at which evaluate_checkpoint must run
