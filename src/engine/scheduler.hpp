@@ -233,7 +233,7 @@ class Scheduler {
     ShardPlan plan;
     std::size_t weight = 0;
     std::uint64_t sequence = 0;  // submission order, the priority tie-break
-    std::size_t remaining = 0;   // shards not yet executed
+    std::size_t remaining = 0;   // shards not yet retired
     std::int64_t enqueue_ns = 0;  // obs timebase; makespan = finish - this
     std::string label;            // progress-table identity (may be empty)
     /// Set once when a checkpoint decides the campaign: run_next skips the
