@@ -65,7 +65,7 @@ SamplePlan::SamplePlan(const sim::CompiledDesign& compiled,
     }
   }
 
-  // active_gates() is ascending by id, so singles_ and multis_ inherit the
+  // active_gates() is ascending by id, so multis_ inherits the
   // ascending-GateId order the accumulation contract requires.
   single_energy_.assign(group_count, 0.0);
   for (const GateId g : power.active_gates()) {
@@ -79,6 +79,12 @@ SamplePlan::SamplePlan(const sim::CompiledDesign& compiled,
           MultiOp{compiled.toggle_slot(g), multi, power.gate_energy(g)});
     }
   }
+  // Single counters are integers, so their order is free: walk the toggle
+  // array forward.
+  std::sort(singles_.begin(), singles_.end(),
+            [](const SingleOp& a, const SingleOp& b) {
+              return a.toggle_slot < b.toggle_slot;
+            });
 }
 
 void SamplePlan::scatter_multis(const std::uint64_t* toggle_words,

@@ -10,11 +10,12 @@
 //    gates), laid out as an SoA run of (toggle slot, multi index, energy).
 //
 // Accumulation-order contract (what keeps golden t-stats bit-identical):
-// members are stored in ascending GateId order - globally, and therefore
-// within every group - so the per-group double accumulation order of
-// lane-energy sums is exactly the ascending-id order the pre-compiled
-// sampler used. Integer single counters are order-free; only the multi
-// buckets carry float order, and that order is preserved.
+// multi members are stored in ascending GateId order - globally, and
+// therefore within every group - so the per-group double accumulation
+// order of lane-energy sums is exactly the ascending-id order the
+// pre-compiled sampler used. Singles carry no float order: their counters
+// are exact integers, so they are stored in ascending toggle-slot order
+// instead, and the single readout streams the toggle array forward.
 //
 // Blocked readout (sample()): one call ingests a whole K-word lane block -
 // up to K batches of 64 traces evaluated in one simulator pass. Multi
@@ -90,7 +91,8 @@ class SamplePlan {
   ///                  returned zeroed
   ///   moments      - tvla::CampaignMoments-shaped sink (template keeps the
   ///                  power module independent of the tvla module)
-  /// Singles feed exact integer counters; multi members accumulate
+  /// Singles feed exact integer counters (fixed and total set lanes per
+  /// word, one add_single_ones per op); multi members accumulate
   /// pre-resolved energies per (word, lane) in ascending-GateId order, then
   /// every (word, lane) sample is pushed word-major / lane-ascending per
   /// group, kPushTile groups at a time - the accumulation-order contract
@@ -105,22 +107,21 @@ class SamplePlan {
           static_cast<std::uint64_t>(__builtin_popcountll(class_masks[w]));
       moments.add_lane_counts(n_fixed, kLanesPerWord - n_fixed);
     }
+    // Branch-free: zero toggle words are common but irregular (up to half
+    // of them on some designs), so skipping them mispredicts more than the
+    // two popcounts cost.
     for (const SingleOp& op : singles_) {
       const std::uint64_t* block =
           toggle_words + static_cast<std::size_t>(op.toggle_slot) * lane_words;
       std::uint64_t fixed_ones = 0;
-      std::uint64_t random_ones = 0;
-      bool any = false;
+      std::uint64_t all_ones = 0;
       for (std::size_t w = 0; w < active_words; ++w) {
         const std::uint64_t toggles = block[w];
-        if (toggles == 0) continue;
-        any = true;
         fixed_ones += static_cast<std::uint64_t>(
             __builtin_popcountll(toggles & class_masks[w]));
-        random_ones += static_cast<std::uint64_t>(
-            __builtin_popcountll(toggles & ~class_masks[w]));
+        all_ones += static_cast<std::uint64_t>(__builtin_popcountll(toggles));
       }
-      if (any) moments.add_single_ones(op.group, fixed_ones, random_ones);
+      moments.add_single_ones(op.group, fixed_ones, all_ones - fixed_ones);
     }
     scatter_multis(toggle_words, lane_words, active_words, lane_sums);
     // Every sampled word contributes one sample per lane to each multi
