@@ -85,12 +85,15 @@ std::vector<bool> derive_fixed_vector(std::size_t n, std::uint64_t seed) {
 /// Out-of-line instantiation point for the blocked readout. The library
 /// targets baseline x86-64, where __builtin_popcountll compiles to a
 /// multi-op bit-twiddling sequence - and two popcounts per (single op,
-/// lane word) dominate the sampling loop. target_clones emits a second
-/// clone of this function (template body inlined) compiled with the
-/// hardware popcnt instruction and picks it via the loader's ifunc
-/// resolver on CPUs that have it: same integer results, no portability
-/// loss, no per-call dispatch cost.
-#if defined(__x86_64__) && defined(__GNUC__)
+/// lane word), fixed-class and total set lanes, dominate the sampling
+/// loop. target_clones emits a second clone of this function (template
+/// body inlined) compiled with the hardware popcnt instruction and picks
+/// it via the loader's ifunc resolver on CPUs that have it: same integer
+/// results, no portability loss, no per-call dispatch cost. ThreadSanitizer
+/// builds keep only the baseline function: the ifunc resolver runs during
+/// relocation, before the TSan runtime is initialized, and crashes the
+/// process before main.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__SANITIZE_THREAD__)
 __attribute__((target_clones("popcnt", "default")))
 #endif
 void sample_block(const power::SamplePlan& plan,
