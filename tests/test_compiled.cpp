@@ -1,9 +1,10 @@
 // Property harness for the compiled simulation kernel (sim/compiled.hpp):
 // randomized netlists evaluated by the compiled kernel vs the reference
 // gate-by-gate oracle (sim/reference.hpp), asserting bit-identical value
-// words, toggle words, and per-lane energies; TVLA campaigns over the
-// kernel are checked bit-identical across 1/2/8 threads and against the
-// pre-compiled-plan overload. tests/test_golden.cpp remains the
+// words, toggle words, and per-lane energies; the single-group readout is
+// checked against lane-by-lane counts of the simulator's toggle words; TVLA
+// campaigns over the kernel are checked bit-identical across 1/2/8 threads
+// and against the pre-compiled-plan overload. tests/test_golden.cpp remains the
 // end-to-end determinism lock (committed CSVs, byte-stable).
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include "sim/reference.hpp"
 #include "sim/simd.hpp"
 #include "sim/simulator.hpp"
+#include "tvla/moments.hpp"
 #include "tvla/tvla.hpp"
 #include "util/rng.hpp"
 
@@ -286,6 +288,150 @@ TEST(CompiledKernel, SamplePlanPreservesAscendingOrderWithinGroups) {
     ++cursor;
   }
   EXPECT_EQ(cursor, plan.multis().size());
+}
+
+/// Independent oracle for the single-group readout: drives one K-word
+/// block, samples the first `active_words` words into CampaignMoments and
+/// checks every count against lane-by-lane counts read straight from
+/// Simulator::toggles_word. With `sparse`, the second eval changes only
+/// the first primary input, so most single toggle words are all zero.
+/// Returns the number of all-zero single toggle words seen.
+std::size_t expect_single_counts_match_oracle(const netlist::Netlist& design,
+                                              std::size_t lane_words,
+                                              std::size_t active_words,
+                                              bool sparse,
+                                              std::uint64_t seed) {
+  const auto compiled = sim::compile(design);
+  const power::PowerModel power(design, lib());
+  const power::SamplePlan plan(*compiled, power);
+  sim::Simulator sim(compiled, seed, lane_words);
+  util::Xoshiro256 rng(seed);
+  const std::size_t inputs = design.primary_inputs().size();
+  for (std::size_t i = 0; i < inputs; ++i) {
+    for (std::size_t w = 0; w < lane_words; ++w) {
+      sim.set_input_word(i, w, rng());
+    }
+  }
+  sim.eval();
+  for (std::size_t i = 0; i < (sparse ? 1 : inputs); ++i) {
+    for (std::size_t w = 0; w < lane_words; ++w) {
+      sim.set_input_word(i, w, rng());
+    }
+  }
+  sim.eval();
+
+  std::vector<std::uint64_t> masks(active_words);
+  for (auto& mask : masks) mask = rng();
+  std::vector<double> sums(plan.multi_group_count() * lane_words * sim::kLanes,
+                           0.0);
+  tvla::CampaignMoments moments(plan.group_count(), plan.multi_group_count());
+  plan.sample(sim.toggle_words(), lane_words, active_words, masks.data(),
+              sums.data(), moments);
+
+  std::uint64_t n_fixed = 0;
+  std::uint64_t n_random = 0;
+  for (std::size_t w = 0; w < active_words; ++w) {
+    for (std::size_t lane = 0; lane < sim::kLanes; ++lane) {
+      if ((masks[w] >> lane) & 1ULL) {
+        ++n_fixed;
+      } else {
+        ++n_random;
+      }
+    }
+  }
+  EXPECT_EQ(moments.n_fixed(), n_fixed);
+  EXPECT_EQ(moments.n_random(), n_random);
+
+  // A single group is one whose only active member is `lone[group]`.
+  std::vector<std::size_t> members(plan.group_count(), 0);
+  std::vector<GateId> lone(plan.group_count(), 0);
+  for (const GateId g : power.active_gates()) {
+    ++members[design.gate(g).group];
+    lone[design.gate(g).group] = g;
+  }
+  std::size_t singles = 0;
+  std::size_t zero_words = 0;
+  for (GateId group = 0; group < plan.group_count(); ++group) {
+    std::uint64_t fixed_ones = 0;
+    std::uint64_t random_ones = 0;
+    if (members[group] == 1) {
+      ++singles;
+      for (std::size_t w = 0; w < active_words; ++w) {
+        const std::uint64_t toggles = sim.toggles_word(lone[group], w);
+        if (toggles == 0) ++zero_words;
+        for (std::size_t lane = 0; lane < sim::kLanes; ++lane) {
+          if (((toggles >> lane) & 1ULL) == 0) continue;
+          if ((masks[w] >> lane) & 1ULL) {
+            ++fixed_ones;
+          } else {
+            ++random_ones;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(moments.single_ones_fixed(group), fixed_ones)
+        << "group " << group << " K=" << lane_words
+        << " active=" << active_words;
+    EXPECT_EQ(moments.single_ones_random(group), random_ones)
+        << "group " << group << " K=" << lane_words
+        << " active=" << active_words;
+  }
+  EXPECT_EQ(plan.singles().size(), singles);
+  for (std::size_t i = 1; i < plan.singles().size(); ++i) {
+    EXPECT_LT(plan.singles()[i - 1].toggle_slot, plan.singles()[i].toggle_slot);
+  }
+  for (const double sum : sums) EXPECT_EQ(sum, 0.0);
+  return zero_words;
+}
+
+TEST(CompiledKernel, SingleGroupCountsMatchOracle) {
+  const auto design = circuits::get_design("square", 0.3);
+  for (const std::size_t lane_words : {1u, 2u, 4u, 8u}) {
+    expect_single_counts_match_oracle(design.netlist, lane_words, lane_words,
+                                      /*sparse=*/false, 31 + lane_words);
+    // Tail block: only the leading words carry sampled batches.
+    if (lane_words > 1) {
+      expect_single_counts_match_oracle(design.netlist, lane_words,
+                                        lane_words - 1, /*sparse=*/false,
+                                        7 * lane_words);
+    }
+  }
+}
+
+TEST(CompiledKernel, SingleGroupCountsMatchOracleWithZeroToggleWords) {
+  const auto design = circuits::get_design("multiplier", 0.3);
+  for (const std::size_t lane_words : {1u, 4u}) {
+    const std::size_t zero_words = expect_single_counts_match_oracle(
+        design.netlist, lane_words, lane_words, /*sparse=*/true, 53);
+    EXPECT_GT(zero_words, 0u) << "K=" << lane_words;
+  }
+}
+
+TEST(CompiledKernel, SingleGroupCountsMatchOracleBesideMultis) {
+  circuits::RandomLogicConfig config;
+  config.gates = 180;
+  config.seed = 19;
+  const auto original = circuits::make_random_logic(config);
+  std::vector<GateId> targets;
+  for (GateId g = 0; g < original.gate_count(); ++g) {
+    if (netlist::is_maskable(original.gate(g).type) && g % 2 == 0) {
+      targets.push_back(g);
+    }
+  }
+  const auto masked = masking::apply_masking(original, targets);
+  {
+    const auto compiled = sim::compile(masked.design);
+    const power::PowerModel power(masked.design, lib());
+    const power::SamplePlan plan(*compiled, power);
+    ASSERT_GT(plan.multi_group_count(), 0u);
+    ASSERT_FALSE(plan.singles().empty());
+  }
+  for (const std::size_t lane_words : {1u, 4u}) {
+    expect_single_counts_match_oracle(masked.design, lane_words, lane_words,
+                                      /*sparse=*/false, 61);
+    expect_single_counts_match_oracle(masked.design, lane_words, 1,
+                                      /*sparse=*/false, 67);
+  }
 }
 
 TEST(CompiledKernel, CampaignBitIdenticalAcrossThreads) {
