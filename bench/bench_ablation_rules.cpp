@@ -24,8 +24,7 @@ int main() {
   for (const char* name : {"sin", "sqrt", "div", "voter"}) {
     auto design = circuits::get_design(name, setup.scale);
     const auto tvla_config = core::tvla_config_for(polaris.config(), design);
-    const auto before =
-        tvla::run_fixed_vs_random(design.netlist, setup.lib, tvla_config);
+    const auto before = tvla::run(design.netlist, setup.lib, tvla_config);
     const std::size_t leaky = before.leaky_count();
 
     std::vector<std::string> row{name};

@@ -30,8 +30,7 @@ int main() {
     const auto metrics = ml::evaluate(polaris.model(), data);
 
     const auto tvla_config = core::tvla_config_for(config, target);
-    const auto before =
-        tvla::run_fixed_vs_random(target.netlist, setup.lib, tvla_config);
+    const auto before = tvla::run(target.netlist, setup.lib, tvla_config);
     const auto outcome =
         polaris.mask_design(target, setup.lib, before.leaky_count(),
                             core::InferenceMode::kModel, /*verify=*/true);

@@ -20,8 +20,7 @@ int main() {
 
   // Reference leaky set at the largest budget.
   tvla_config.traces = 65536;
-  const auto reference =
-      tvla::run_fixed_vs_random(design.netlist, setup.lib, tvla_config);
+  const auto reference = tvla::run(design.netlist, setup.lib, tvla_config);
   const auto ref_leaky = reference.leaky_groups();
   std::vector<bool> is_ref(design.netlist.gate_count(), false);
   for (const auto g : ref_leaky) is_ref[g] = true;
@@ -33,8 +32,7 @@ int main() {
        {512u, 1024u, 2048u, 4096u, 8192u, 16384u, 32768u}) {
     tvla_config.traces = traces;
     util::Timer timer;
-    const auto report =
-        tvla::run_fixed_vs_random(design.netlist, setup.lib, tvla_config);
+    const auto report = tvla::run(design.netlist, setup.lib, tvla_config);
     const double seconds = timer.seconds();
     const auto leaky = report.leaky_groups();
     std::size_t hits = 0;

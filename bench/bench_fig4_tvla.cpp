@@ -7,18 +7,21 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "circuits/aes_sbox.hpp"
+#include "engine/scheduler.hpp"
 #include "engine/thread_pool.hpp"
 #include "masking/masking.hpp"
 #include "power/power_model.hpp"
 #include "power/sample_plan.hpp"
 #include "sim/compiled.hpp"
 #include "sim/simd.hpp"
+#include "tvla/tvla.hpp"
 #include "util/csv.hpp"
 #include "util/strings.hpp"
 #include "util/timer.hpp"
@@ -44,6 +47,19 @@ std::string cpu_model() {
     return first == std::string::npos ? "unknown" : model.substr(first);
   }
   return "unknown";
+}
+
+/// One fixed-vs-random campaign over a compiled plan the bench holds, so
+/// compile time stays out of the timed campaign.
+tvla::LeakageReport run_compiled(sim::CompiledDesignPtr design,
+                                 const techlib::TechLibrary& lib,
+                                 const tvla::TvlaConfig& config) {
+  engine::Scheduler scheduler(config.threads);
+  auto future = tvla::submit(
+      scheduler,
+      std::make_shared<tvla::ShardRunner>(std::move(design), lib, config));
+  scheduler.drain();
+  return future.get();
 }
 
 /// Masked-design readout probe: the AES S-box layer with every maskable
@@ -79,7 +95,7 @@ void masked_readout_probe(const bench::BenchSetup& setup,
   const auto timed_run = [&](sim::SimdMode mode, double& seconds) {
     sim::set_simd_mode(mode);
     util::Timer timer;
-    auto report = tvla::run_fixed_vs_random(compiled, setup.lib, config);
+    auto report = run_compiled(compiled, setup.lib, config);
     seconds = timer.seconds();
     return report;
   };
@@ -147,7 +163,7 @@ int main() {
     const auto compiled = sim::compile(sbox);
     const double compile_ms = compile_timer.seconds() * 1e3;
     util::Timer kernel_timer;
-    const auto report = tvla::run_fixed_vs_random(compiled, setup.lib, config);
+    const auto report = run_compiled(compiled, setup.lib, config);
     const double kernel_seconds = kernel_timer.seconds();
     // The width this combinational campaign actually ran at, and the
     // kernel path that width resolves to under the current SIMD policy.
@@ -187,8 +203,7 @@ int main() {
       adaptive.budget.enabled = true;
       adaptive.budget.min_traces = std::max<std::size_t>(64, setup.traces / 32);
       util::Timer adaptive_timer;
-      const auto early =
-          tvla::run_fixed_vs_random(compiled, setup.lib, adaptive);
+      const auto early = run_compiled(compiled, setup.lib, adaptive);
       const double adaptive_seconds = adaptive_timer.seconds();
       const std::size_t used =
           early.early_stopped() ? early.traces_used() : setup.traces;
@@ -238,8 +253,7 @@ int main() {
   const auto compiled_des3 = sim::compile(design.netlist);
   const double des3_compile_ms = compile_timer.seconds() * 1e3;
   util::Timer campaign_timer;
-  const auto before =
-      tvla::run_fixed_vs_random(compiled_des3, setup.lib, tvla_config);
+  const auto before = run_compiled(compiled_des3, setup.lib, tvla_config);
   const double campaign_seconds = campaign_timer.seconds();
   const std::size_t leaky = before.leaky_count();
   std::printf("des3: %zu gates, %zu leaky before masking (|t| > %.1f)\n",

@@ -40,8 +40,7 @@ int main() {
 
   for (auto& design : circuits::evaluation_suite(setup.scale)) {
     const auto tvla_config = core::tvla_config_for(tools[0]->config(), design);
-    const auto before =
-        tvla::run_fixed_vs_random(design.netlist, setup.lib, tvla_config);
+    const auto before = tvla::run(design.netlist, setup.lib, tvla_config);
     const std::size_t leaky = before.leaky_count();
 
     std::vector<std::string> row{design.name};

@@ -33,7 +33,7 @@ int main() {
   for (std::size_t i = 32; i < 64; ++i) dut.roles[i] = circuits::InputRole::kKey;
 
   const auto tvla_config = core::tvla_config_for(config, dut);
-  const auto before = tvla::run_fixed_vs_random(dut.netlist, lib, tvla_config);
+  const auto before = tvla::run(dut.netlist, lib, tvla_config);
   std::printf("AES SubBytes slice: %zu gates, %zu leak above |t|=4.5 "
               "(worst |t| seen: %.1f)\n",
               dut.netlist.gate_count(), before.leaky_count(),

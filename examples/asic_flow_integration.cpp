@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   (void)polaris.train(circuits::training_suite(), lib);
 
   const auto tvla_config = core::tvla_config_for(config, design);
-  const auto before = tvla::run_fixed_vs_random(design.netlist, lib, tvla_config);
+  const auto before = tvla::run(design.netlist, lib, tvla_config);
   const auto outcome = polaris.mask_design(design, lib, before.leaky_count(),
                                            core::InferenceMode::kModel,
                                            /*verify=*/true);

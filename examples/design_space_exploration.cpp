@@ -36,8 +36,7 @@ int main() {
     core::Polaris polaris(config);
     (void)polaris.train(circuits::training_suite(), lib);
     const auto tvla_config = core::tvla_config_for(config, target);
-    const auto before =
-        tvla::run_fixed_vs_random(target.netlist, lib, tvla_config);
+    const auto before = tvla::run(target.netlist, lib, tvla_config);
 
     for (const double budget : {0.25, 0.5, 0.75, 1.0}) {
       const auto msize = static_cast<std::size_t>(

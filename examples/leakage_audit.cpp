@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   tvla::LeakageReport last({}, {}, 4.5);
   for (const std::size_t traces : {1024u, 4096u, 16384u}) {
     config.traces = traces;
-    last = tvla::run_fixed_vs_random(design, lib, config);
+    last = tvla::run(design, lib, config);
     double worst = 0.0;
     for (const double t : last.t_values()) worst = std::max(worst, std::fabs(t));
     sweep.add_row({std::to_string(traces), std::to_string(last.leaky_count()),

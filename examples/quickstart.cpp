@@ -40,8 +40,7 @@ int main() {
               target.netlist.gate_count());
 
   const auto tvla_config = core::tvla_config_for(config, target);
-  const auto before =
-      tvla::run_fixed_vs_random(target.netlist, lib, tvla_config);
+  const auto before = tvla::run(target.netlist, lib, tvla_config);
   std::printf("before: %zu leaky gates, leakage/gate %.3f\n",
               before.leaky_count(), before.leakage_per_gate());
 

@@ -57,18 +57,19 @@ CognitionPlan::CognitionPlan(const circuits::Design& design,
   // therefore designs x iterations masked netlists (plus their compiled
   // plans) held through the drain - a few MB for the built-in training
   // suites (<1k-gate designs); if training suites ever grow to large
-  // netlists, the seam is a submit overload that lets each campaign own
-  // (and lazily build) its input.
+  // netlists, the seam is a ShardRunner that owns (and lazily builds) its
+  // input netlist.
   timer_.reset();
-  original_ = tvla::submit_fixed_vs_random(scheduler, design.netlist, lib,
-                                           tvla_config);
+  original_ = tvla::submit(scheduler, std::make_shared<tvla::ShardRunner>(
+                                          design.netlist, lib, tvla_config));
   modified_.reserve(selections_.size());
   modified_reports_.reserve(selections_.size());
   for (const auto& selection : selections_) {
     modified_.push_back(
         masking::apply_masking(design.netlist, selection, config.scheme));
-    modified_reports_.push_back(tvla::submit_fixed_vs_random(
-        scheduler, modified_.back().design, lib, tvla_config));
+    modified_reports_.push_back(tvla::submit(
+        scheduler, std::make_shared<tvla::ShardRunner>(
+                       modified_.back().design, lib, tvla_config)));
   }
 }
 

@@ -317,9 +317,10 @@ std::vector<std::future<tvla::LeakageReport>> submit_audits(
   std::vector<std::future<tvla::LeakageReport>> pending;
   pending.reserve(designs.size());
   for (const auto& design : designs) {
-    pending.push_back(tvla::submit_fixed_vs_random(
-        scheduler, design.netlist, lib, tvla_config_for(config, design),
-        progress, design.name));
+    auto runner = std::make_shared<tvla::ShardRunner>(
+        design.netlist, lib, tvla_config_for(config, design));
+    runner->set_progress(progress);
+    pending.push_back(tvla::submit(scheduler, std::move(runner), design.name));
   }
   return pending;
 }
@@ -365,8 +366,8 @@ MaskingOutcome Polaris::mask_design(const circuits::Design& design,
                          timer.seconds(), std::nullopt};
 
   if (verify) {  // line 10: leakage estimate of the masked design
-    outcome.verification = tvla::run_fixed_vs_random(
-        outcome.masked, lib, tvla_config_for(config_, design));
+    outcome.verification =
+        tvla::run(outcome.masked, lib, tvla_config_for(config_, design));
   }
   return outcome;
 }

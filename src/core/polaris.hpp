@@ -112,8 +112,9 @@ class Polaris {
 /// TVLA-audits every design as one flow: all campaigns' shards drain
 /// through a global engine::Scheduler as a single work queue, so designs
 /// with unequal trace budgets or gate counts do not serialize behind each
-/// other. Reports (design order) are bit-identical to calling
-/// tvla::run_fixed_vs_random per design. Needs no trained model.
+/// other. Reports (design order) are bit-identical to calling tvla::run
+/// per design. Each design compiles once (one `tvla.compile_us` sample per
+/// design). Needs no trained model.
 [[nodiscard]] std::vector<tvla::LeakageReport> audit_designs(
     std::span<const circuits::Design> designs, const techlib::TechLibrary& lib,
     const PolarisConfig& config);

@@ -6,7 +6,7 @@
 // shared by every pending campaign, and drain() executes them on the shared
 // ThreadPool. Heavier campaigns' shards pop first (LPT order), so short
 // campaigns fill the stragglers' idle lanes instead of queueing behind
-// them. A synchronous campaign (tvla::run_*) is a private Scheduler plus
+// them. A synchronous campaign (tvla::run) is a private Scheduler plus
 // drain(). A distributed audit (server::WorkerPool) adds remote executors:
 // their feeders claim() runs of queued shards, ship them to workers, and
 // deposit() the returned states into the same merge a local shard feeds.

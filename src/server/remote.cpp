@@ -113,32 +113,18 @@ std::vector<tvla::LeakageReport> WorkerPool::audit(
   // Compile every campaign once, up front, and queue its shards: local
   // lanes and feeders then drain one LPT queue, and every shard - local
   // or remote - feeds the campaign's ascending merge and checkpoints.
-  std::vector<std::unique_ptr<tvla::ShardRunner>> runners;
   std::vector<std::future<tvla::LeakageReport>> pending;
   for (const auto& design : designs) {
     audit.fingerprints.push_back(core::design_fingerprint(design));
-    runners.push_back(std::make_unique<tvla::ShardRunner>(
-        design.netlist, lib, core::tvla_config_for(config, design)));
-    tvla::ShardRunner* runner = runners.back().get();
-    if (progress) runner->set_progress(progress);
-    pending.push_back(audit.scheduler.submit<tvla::CampaignMoments>(
-        runner->batch_count(),
-        [runner](std::size_t shard) { return runner->run_shard(shard); },
-        [](tvla::CampaignMoments& into, tvla::CampaignMoments&& from) {
-          into.merge(from);
-        },
-        [runner](tvla::CampaignMoments&& total) {
-          return runner->finalize(total);
-        },
-        runner->cost_weight(), {}, runner->checkpoint_shards(),
-        [runner](const tvla::CampaignMoments& merged, std::size_t shards) {
-          return runner->evaluate_checkpoint(merged, shards);
-        }));
+    auto runner = std::make_shared<tvla::ShardRunner>(
+        design.netlist, lib, core::tvla_config_for(config, design));
+    runner->set_progress(progress);
+    pending.push_back(tvla::submit(audit.scheduler, std::move(runner)));
   }
 
   // One feeder thread per remote worker; the calling thread drains the
   // local lanes, which can run anything a dead worker gives back. jthread
-  // joins on every exit path, before `audit` and `runners` go away.
+  // joins on every exit path, before `audit` goes away.
   std::vector<std::jthread> feeders;
   for (const auto& slot : workers_) {
     slot->alive.store(true);

@@ -2,9 +2,9 @@
 // lanes plus remote shard workers (server/worker.hpp), through the same
 // engine::Scheduler every local campaign uses.
 //
-// audit() submits each design's campaign (a tvla::ShardRunner's run_shard,
-// merge, finalize and checkpoints) to a private Scheduler and drains it on
-// `local_threads` lanes. One feeder thread per remote worker claims up to
+// audit() submits each design's campaign (a tvla::ShardRunner, through
+// tvla::submit) to a private Scheduler and drains it on `local_threads`
+// lanes. One feeder thread per remote worker claims up to
 // kShardsPerChunk consecutive shards of one campaign from that scheduler's
 // queue, in LPT order, ships them, validates the reply, and deposits each
 // shard's moments into the campaign's ascending incremental merge - the

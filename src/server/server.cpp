@@ -606,11 +606,13 @@ core::ResultCache::Body Server::serve_mask(serialize::Reader& in,
       // netlist) drain the shared queue together, interleaved with every
       // other client's shards.
       const auto tvla_config = core::tvla_config_for(polaris_.config(), design);
-      auto before = tvla::submit_fixed_vs_random(
-          scheduler_, design.netlist, lib_, tvla_config, {},
+      auto before = tvla::submit(
+          scheduler_, std::make_shared<tvla::ShardRunner>(design.netlist, lib_,
+                                                          tvla_config),
           design.name + ":before");
-      auto after = tvla::submit_fixed_vs_random(
-          scheduler_, outcome.masked, lib_, tvla_config, {},
+      auto after = tvla::submit(
+          scheduler_, std::make_shared<tvla::ShardRunner>(outcome.masked, lib_,
+                                                          tvla_config),
           design.name + ":after");
       scheduler_.drain();
       reply.before = before.get();

@@ -66,8 +66,6 @@ double LeakageReport::leakage_per_gate() const {
 
 namespace {
 
-enum class Mode { kFixedVsRandom, kFixedVsFixed };
-
 // Stream tags for engine::stream_seed: every random quantity a batch
 // consumes is keyed by (campaign seed, batch index, tag), making batches
 // independent of execution order and shard placement (see DESIGN.md).
@@ -118,24 +116,22 @@ sim::CompiledDesignPtr compile_timed(const netlist::Netlist& design) {
   return compiled;
 }
 
-/// Thin protocol layer: owns the campaign-wide, read-only context (the
+}  // namespace
+
+/// The campaign body: owns the campaign-wide, read-only context (the
 /// compiled design plan, power model, sampling plan, fixed vectors) and
 /// defines how one shard of traces is stimulated and sampled. The design
-/// is compiled ONCE here; every shard's Simulator shares the plan, so
+/// is compiled ONCE per runner; every shard's Simulator shares the plan, so
 /// per-shard setup never re-runs topological_order() or rebuilds a
-/// schedule. Execution and merging belong to engine::Scheduler; all
-/// mutable per-shard state lives in a ShardState that dies with its shard.
-class Campaign {
- public:
-  Campaign(const netlist::Netlist& design, const techlib::TechLibrary& lib,
-           const TvlaConfig& config, Mode mode)
-      : Campaign(compile_timed(design), lib, config, mode) {}
-
-  Campaign(sim::CompiledDesignPtr compiled, const techlib::TechLibrary& lib,
-           const TvlaConfig& config, Mode mode)
+/// schedule. Execution and merging belong to engine::Scheduler (or a
+/// caller's hand-written merge); all mutable per-shard state lives in a
+/// ShardState that dies with its shard.
+struct ShardRunner::Impl {
+  Impl(sim::CompiledDesignPtr compiled, const techlib::TechLibrary& lib,
+       const TvlaConfig& config, Protocol protocol)
       : design_(compiled->design()),
         config_(config),
-        mode_(mode),
+        protocol_(protocol),
         compiled_(std::move(compiled)),
         power_(design_, lib),
         plan_(*compiled_, power_) {
@@ -191,8 +187,9 @@ class Campaign {
           .add("lane_words", static_cast<std::uint64_t>(lane_words_))
           .add("simd", sim::simd_name(lane_words_))
           .add("sequential", sequential_)
-          .add("mode", mode_ == Mode::kFixedVsRandom ? "fixed-vs-random"
-                                                     : "fixed-vs-fixed");
+          .add("mode", protocol_ == Protocol::kFixedVsRandom
+                           ? "fixed-vs-random"
+                           : "fixed-vs-fixed");
       tracer.async_begin("campaign", "tvla", trace_id_, std::move(args).str());
     }
   }
@@ -222,39 +219,7 @@ class Campaign {
     return batch_count() * cycles * std::max<std::size_t>(1, design_.gate_count());
   }
 
-  /// Synchronous entry point: a private Scheduler drained on the calling
-  /// thread, so every campaign runs through the one scheduler path.
-  static LeakageReport run(std::shared_ptr<Campaign> self) {
-    engine::Scheduler scheduler(self->config_.threads);
-    auto future = submit(std::move(self), scheduler);
-    scheduler.drain();
-    return future.get();
-  }
-
-  /// Installs the per-checkpoint observer (streaming audits). Must be set
-  /// before submit()/run().
   void set_progress(ProgressFn progress) { progress_ = std::move(progress); }
-
-  /// Names the campaign in the scheduler's live progress table. Telemetry
-  /// only - never serialized, never part of the report.
-  void set_label(std::string label) { label_ = std::move(label); }
-
-  /// Queues this campaign on the global scheduler. `self` keeps the
-  /// campaign (and its power model / group layout) alive inside the shard
-  /// closures until the last shard finalized the report. Budget-disabled
-  /// campaigns have no milestones, so their checkpoint never runs.
-  static std::future<LeakageReport> submit(std::shared_ptr<Campaign> self,
-                                           engine::Scheduler& scheduler) {
-    return scheduler.submit<CampaignMoments>(
-        self->batch_count(),
-        [self](std::size_t shard) { return self->run_shard_moments(shard); },
-        [](CampaignMoments& into, CampaignMoments&& from) { into.merge(from); },
-        [self](CampaignMoments&& total) { return self->finalize(total); },
-        self->cost_weight(), self->label_, self->checkpoint_shards_,
-        [self](const CampaignMoments& merged, std::size_t shards_merged) {
-          return self->evaluate_checkpoint(merged, shards_merged);
-        });
-  }
 
   /// Runs shard `shard` of the campaign's ShardPlan into a fresh moments
   /// block: lane blocks of up to lane_words_ consecutive batches,
@@ -263,7 +228,7 @@ class Campaign {
   /// point) is the same at every width. The shard's simulator and scratch
   /// die here; only the moments travel on to the merge, whichever
   /// scheduler, thread count, or host ran the shard.
-  [[nodiscard]] CampaignMoments run_shard_moments(std::size_t shard) const {
+  [[nodiscard]] CampaignMoments run_shard(std::size_t shard) const {
     ShardState state = make_shard_state();
     const std::size_t end = shard_plan_.end(shard);
     for (std::size_t b = shard_plan_.begin(shard); b < end; b += lane_words_) {
@@ -424,7 +389,7 @@ class Campaign {
         std::uint64_t word = 0;
         switch (input_class(i)) {
           case InputClass::kSensitive:
-            word = (mode_ == Mode::kFixedVsRandom)
+            word = (protocol_ == Protocol::kFixedVsRandom)
                        ? (a & fixed_mask) |
                              (state.stimulus[w]() & ~fixed_mask)
                        : (a & fixed_mask) | (b & ~fixed_mask);
@@ -557,7 +522,7 @@ class Campaign {
  private:
   const netlist::Netlist& design_;
   TvlaConfig config_;
-  Mode mode_;
+  Protocol protocol_;
   sim::CompiledDesignPtr compiled_;
   power::PowerModel power_;
   power::SamplePlan plan_;
@@ -571,144 +536,84 @@ class Campaign {
   // one checkpoint (under the scheduler's campaign merge lock) and read
   // by finalize() after the last shard's publication.
   std::vector<std::size_t> checkpoint_shards_;  // ascending prefix counts
-  std::string label_;  // progress-table name (empty = unnamed)
   ProgressFn progress_;
   bool stopped_ = false;
   std::size_t traces_used_ = 0;
 };
 
-}  // namespace
-
-LeakageReport run_fixed_vs_random(const netlist::Netlist& design,
-                                  const techlib::TechLibrary& lib,
-                                  const TvlaConfig& config) {
-  return Campaign::run(
-      std::make_shared<Campaign>(design, lib, config, Mode::kFixedVsRandom));
-}
-
-LeakageReport run_fixed_vs_fixed(const netlist::Netlist& design,
-                                 const techlib::TechLibrary& lib,
-                                 const TvlaConfig& config) {
-  return Campaign::run(
-      std::make_shared<Campaign>(design, lib, config, Mode::kFixedVsFixed));
-}
-
-LeakageReport run_fixed_vs_random(sim::CompiledDesignPtr design,
-                                  const techlib::TechLibrary& lib,
-                                  const TvlaConfig& config) {
-  return Campaign::run(std::make_shared<Campaign>(std::move(design), lib,
-                                                  config,
-                                                  Mode::kFixedVsRandom));
-}
-
-LeakageReport run_fixed_vs_fixed(sim::CompiledDesignPtr design,
-                                 const techlib::TechLibrary& lib,
-                                 const TvlaConfig& config) {
-  return Campaign::run(std::make_shared<Campaign>(std::move(design), lib,
-                                                  config,
-                                                  Mode::kFixedVsFixed));
-}
-
-namespace {
-std::future<LeakageReport> submit_campaign(std::shared_ptr<Campaign> campaign,
-                                           engine::Scheduler& scheduler,
-                                           ProgressFn progress,
-                                           std::string label) {
-  campaign->set_progress(std::move(progress));
-  campaign->set_label(std::move(label));
-  return Campaign::submit(std::move(campaign), scheduler);
-}
-}  // namespace
-
-std::future<LeakageReport> submit_fixed_vs_random(
-    engine::Scheduler& scheduler, const netlist::Netlist& design,
-    const techlib::TechLibrary& lib, const TvlaConfig& config,
-    ProgressFn progress, std::string label) {
-  return submit_campaign(
-      std::make_shared<Campaign>(design, lib, config, Mode::kFixedVsRandom),
-      scheduler, std::move(progress), std::move(label));
-}
-
-std::future<LeakageReport> submit_fixed_vs_fixed(
-    engine::Scheduler& scheduler, const netlist::Netlist& design,
-    const techlib::TechLibrary& lib, const TvlaConfig& config,
-    ProgressFn progress, std::string label) {
-  return submit_campaign(
-      std::make_shared<Campaign>(design, lib, config, Mode::kFixedVsFixed),
-      scheduler, std::move(progress), std::move(label));
-}
-
-std::future<LeakageReport> submit_fixed_vs_random(
-    engine::Scheduler& scheduler, sim::CompiledDesignPtr design,
-    const techlib::TechLibrary& lib, const TvlaConfig& config,
-    ProgressFn progress, std::string label) {
-  return submit_campaign(std::make_shared<Campaign>(std::move(design), lib,
-                                                    config,
-                                                    Mode::kFixedVsRandom),
-                         scheduler, std::move(progress), std::move(label));
-}
-
-std::future<LeakageReport> submit_fixed_vs_fixed(
-    engine::Scheduler& scheduler, sim::CompiledDesignPtr design,
-    const techlib::TechLibrary& lib, const TvlaConfig& config,
-    ProgressFn progress, std::string label) {
-  return submit_campaign(std::make_shared<Campaign>(std::move(design), lib,
-                                                    config,
-                                                    Mode::kFixedVsFixed),
-                         scheduler, std::move(progress), std::move(label));
-}
-
-// --- ShardRunner -------------------------------------------------------------
-
-struct ShardRunner::Impl {
-  std::shared_ptr<Campaign> campaign;
-};
-
 ShardRunner::ShardRunner(const netlist::Netlist& design,
                          const techlib::TechLibrary& lib,
-                         const TvlaConfig& config)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->campaign =
-      std::make_shared<Campaign>(design, lib, config, Mode::kFixedVsRandom);
-}
+                         const TvlaConfig& config, Protocol protocol)
+    : ShardRunner(compile_timed(design), lib, config, protocol) {}
+
+ShardRunner::ShardRunner(sim::CompiledDesignPtr design,
+                         const techlib::TechLibrary& lib,
+                         const TvlaConfig& config, Protocol protocol)
+    : impl_(std::make_unique<Impl>(std::move(design), lib, config, protocol)) {}
 
 ShardRunner::~ShardRunner() = default;
 
-std::size_t ShardRunner::batch_count() const {
-  return impl_->campaign->batch_count();
-}
+std::size_t ShardRunner::batch_count() const { return impl_->batch_count(); }
 
 std::size_t ShardRunner::shard_count() const {
-  return impl_->campaign->shard_plan().shard_count;
+  return impl_->shard_plan().shard_count;
 }
 
-std::size_t ShardRunner::cost_weight() const {
-  return impl_->campaign->cost_weight();
-}
+std::size_t ShardRunner::cost_weight() const { return impl_->cost_weight(); }
 
 CampaignMoments ShardRunner::run_shard(std::size_t shard) const {
-  return impl_->campaign->run_shard_moments(shard);
+  return impl_->run_shard(shard);
 }
 
 CampaignMoments ShardRunner::empty_moments() const {
-  return impl_->campaign->empty_moments();
+  return impl_->empty_moments();
 }
 
 const std::vector<std::size_t>& ShardRunner::checkpoint_shards() const {
-  return impl_->campaign->checkpoint_shards();
+  return impl_->checkpoint_shards();
 }
 
 bool ShardRunner::evaluate_checkpoint(const CampaignMoments& merged,
                                       std::size_t shards_merged) {
-  return impl_->campaign->evaluate_checkpoint(merged, shards_merged);
+  return impl_->evaluate_checkpoint(merged, shards_merged);
 }
 
 void ShardRunner::set_progress(ProgressFn progress) {
-  impl_->campaign->set_progress(std::move(progress));
+  impl_->set_progress(std::move(progress));
 }
 
 LeakageReport ShardRunner::finalize(const CampaignMoments& total) {
-  return impl_->campaign->finalize(total);
+  return impl_->finalize(total);
+}
+
+// --- Entry points ------------------------------------------------------------
+
+std::future<LeakageReport> submit(engine::Scheduler& scheduler,
+                                  std::shared_ptr<ShardRunner> runner,
+                                  std::string label) {
+  // The closures share ownership, keeping the runner (and its power model /
+  // group layout) alive until the last shard finalized the report.
+  // Budget-disabled runners have no milestones, so their checkpoint never
+  // runs.
+  return scheduler.submit<CampaignMoments>(
+      runner->batch_count(),
+      [runner](std::size_t shard) { return runner->run_shard(shard); },
+      [](CampaignMoments& into, CampaignMoments&& from) { into.merge(from); },
+      [runner](CampaignMoments&& total) { return runner->finalize(total); },
+      runner->cost_weight(), std::move(label), runner->checkpoint_shards(),
+      [runner](const CampaignMoments& merged, std::size_t shards_merged) {
+        return runner->evaluate_checkpoint(merged, shards_merged);
+      });
+}
+
+LeakageReport run(const netlist::Netlist& design,
+                  const techlib::TechLibrary& lib, const TvlaConfig& config,
+                  Protocol protocol) {
+  auto runner = std::make_shared<ShardRunner>(design, lib, config, protocol);
+  engine::Scheduler scheduler(config.threads);
+  auto future = submit(scheduler, std::move(runner));
+  scheduler.drain();
+  return future.get();
 }
 
 }  // namespace polaris::tvla

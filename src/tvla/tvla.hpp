@@ -6,7 +6,7 @@
 // class against the random class. Gates with |t| > 4.5 are considered leaky
 // (Fig. 4).
 //
-// Two stimulus protocols are provided (Sec. II-A):
+// Two stimulus protocols are provided (Sec. II-A; see Protocol):
 //  * fixed-vs-random - lanes in the fixed class switch from a random base
 //    vector to a fixed target vector; random-class lanes switch to a fresh
 //    random vector.
@@ -15,10 +15,11 @@
 // Sequential designs (DFFs present) run free-running multi-cycle traces with
 // per-cycle sampling instead of vector pairs.
 //
-// Execution: campaigns are a thin protocol layer over engine::Scheduler
-// (engine/scheduler.hpp), the one executor - the synchronous run_* entry
-// points drain a private scheduler. The design is compiled once per
-// campaign (sim::CompiledDesign) together with a fused toggle/energy
+// Execution: a campaign is one ShardRunner - the thin protocol layer over
+// engine::Scheduler (engine/scheduler.hpp), the one executor. submit()
+// queues a runner's shards on a scheduler; run() is the synchronous
+// wrapper that drains a private one. The design is compiled once per
+// runner (sim::CompiledDesign) together with a fused toggle/energy
 // sampling plan (power::SamplePlan); the trace budget is split into
 // shards, each running a thin Simulator over the shared plan plus
 // per-batch-keyed RNG streams and returning mergeable CampaignMoments,
@@ -31,6 +32,7 @@
 #include <future>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -176,28 +178,31 @@ class LeakageReport {
   bool early_stopped_ = false;
 };
 
-/// Checkpoint observer for budget-enabled campaigns (streaming audits):
-/// called once per checkpoint in milestone order with the partial report
-/// computed from the merged shard prefix and the traces it covers. Runs
-/// under the campaign's merge lock on whichever thread (a drain lane or a
-/// remote feeder) completed the milestone's prefix - never concurrently with itself for one campaign. An
+/// Stimulus protocol of a campaign (see the header comment).
+enum class Protocol : std::uint8_t { kFixedVsRandom, kFixedVsFixed };
+
+/// Checkpoint observer for budget-enabled campaigns (streaming audits),
+/// installed with ShardRunner::set_progress: called once per checkpoint in
+/// milestone order with the partial report computed from the merged shard
+/// prefix and the traces it covers. Runs under the campaign's merge lock on
+/// whichever thread (a drain lane or a remote feeder) completed the
+/// milestone's prefix - never concurrently with itself for one campaign. An
 /// exception thrown from the observer fails the campaign (the future
 /// rethrows it). Ignored when the budget is disabled.
 using ProgressFn =
     std::function<void(const LeakageReport& partial, std::size_t traces_done)>;
 
-/// Shard-granular access to a fixed-vs-random campaign - the seam the
-/// distributed backend (server/remote.hpp, server/worker.hpp) executes
-/// through. A ShardRunner owns exactly the campaign the entry points below
-/// build (compiled design, power model, sampling plan, fixed vectors,
-/// checkpoint schedule); run_shard(s) is the very function the scheduler
-/// runs for shard s, so per-shard moments computed on ANY host merge - in
-/// ascending shard order - into a report bit-identical to the single-host
-/// entry points.
+/// One TVLA campaign: the compiled design, power model, sampling plan,
+/// fixed vectors and checkpoint schedule, plus the function that runs one
+/// shard of it. run_shard(s) is the very function the scheduler runs for
+/// shard s, so per-shard moments computed on ANY host merge - in ascending
+/// shard order - into a report bit-identical to run()/submit(). This is
+/// also the seam the distributed backend (server/remote.hpp,
+/// server/worker.hpp) executes through.
 ///
-/// The merge belongs to the caller: either hand run_shard, merge,
-/// finalize and the checkpoints to engine::Scheduler::submit (as
-/// server::WorkerPool does), or merge shard moments ascending by hand,
+/// The merge belongs to the caller: either hand the runner to submit()
+/// below (which registers run_shard, merge, finalize and the checkpoints
+/// with engine::Scheduler), or merge shard moments ascending by hand,
 /// calling evaluate_checkpoint after each prefix listed in
 /// checkpoint_shards() (budget-enabled campaigns; a true return stops the
 /// merge at that prefix), then finalize() the merged total. run_shard is
@@ -205,10 +210,20 @@ using ProgressFn =
 /// single-threaded.
 class ShardRunner {
  public:
-  /// Compiles the design once. Throws like the campaign entry points on
-  /// invalid configs. `design` and `lib` must outlive the runner.
+  /// Compiles the design once (recorded in the `tvla.compile_us`
+  /// histogram). Throws std::invalid_argument on invalid configs (fixed
+  /// vector or input_class size mismatch, bad lane_words, zero budget
+  /// floor). `design` and `lib` must outlive the runner.
   ShardRunner(const netlist::Netlist& design, const techlib::TechLibrary& lib,
-              const TvlaConfig& config);
+              const TvlaConfig& config,
+              Protocol protocol = Protocol::kFixedVsRandom);
+  /// Same campaign over a pre-compiled execution plan: callers that run
+  /// several campaigns on one design (or want compile time measured apart
+  /// from trace time, as bench_fig4_tvla does) compile once and share the
+  /// plan. The plan's netlist and `lib` must outlive the runner.
+  ShardRunner(sim::CompiledDesignPtr design, const techlib::TechLibrary& lib,
+              const TvlaConfig& config,
+              Protocol protocol = Protocol::kFixedVsRandom);
   ~ShardRunner();
 
   ShardRunner(const ShardRunner&) = delete;
@@ -236,7 +251,7 @@ class ShardRunner {
   [[nodiscard]] bool evaluate_checkpoint(const CampaignMoments& merged,
                                          std::size_t shards_merged);
   /// Installs the per-checkpoint observer (see ProgressFn). Must be set
-  /// before the merge loop runs.
+  /// before submit() or the merge loop runs.
   void set_progress(ProgressFn progress);
 
   /// Computes the final report from the merged total, including budget
@@ -248,62 +263,26 @@ class ShardRunner {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Fixed-vs-random campaign (the protocol used for all paper tables).
-/// Compiles the design once (sim::compile) and shares the plan across all
-/// shards; see the CompiledDesignPtr overload to reuse a caller-held plan.
-[[nodiscard]] LeakageReport run_fixed_vs_random(const netlist::Netlist& design,
-                                                const techlib::TechLibrary& lib,
-                                                const TvlaConfig& config);
-
-/// Fixed-vs-fixed campaign (known intermediate values).
-[[nodiscard]] LeakageReport run_fixed_vs_fixed(const netlist::Netlist& design,
-                                               const techlib::TechLibrary& lib,
-                                               const TvlaConfig& config);
-
-/// Same campaigns over a pre-compiled execution plan: callers that run
-/// several campaigns on one design (or want compile time measured apart
-/// from trace time, as bench_fig4_tvla does) compile once and pass the
-/// plan. The plan's netlist must outlive the call.
-[[nodiscard]] LeakageReport run_fixed_vs_random(sim::CompiledDesignPtr design,
-                                                const techlib::TechLibrary& lib,
-                                                const TvlaConfig& config);
-[[nodiscard]] LeakageReport run_fixed_vs_fixed(sim::CompiledDesignPtr design,
-                                               const techlib::TechLibrary& lib,
-                                               const TvlaConfig& config);
-
-/// Asynchronous campaigns for multi-design / multi-campaign flows: queue
-/// this campaign's shards on a global engine::Scheduler alongside every
-/// other pending campaign's. The future becomes ready during
-/// Scheduler::drain() and yields a report bit-identical to the synchronous
-/// entry point above (tests/test_scheduler.cpp), regardless of thread
-/// count, queue interleaving, or submission order. `config.threads` is
-/// ignored - the scheduler owns the fan-out. The caller keeps `design` and
-/// `lib` alive until the future is ready; campaign-construction errors
-/// (e.g. a fixed-vector size mismatch) throw from the submit call itself.
+/// Queues the runner's shards on a global engine::Scheduler alongside
+/// every other pending campaign's. The future becomes ready during
+/// Scheduler::drain() and yields a report bit-identical to run() and to a
+/// serial shard loop (tests/test_scheduler.cpp), regardless of thread
+/// count, queue interleaving, or submission order; `config.threads` is
+/// ignored - the scheduler owns the fan-out. The scheduler's closures
+/// share ownership of the runner until its report is finalized; the
+/// runner's design and `lib` must stay alive until the future is ready.
 /// `label` names the campaign in the scheduler's live progress table
 /// (engine::CampaignProgress) - pure telemetry, never part of the result.
-[[nodiscard]] std::future<LeakageReport> submit_fixed_vs_random(
-    engine::Scheduler& scheduler, const netlist::Netlist& design,
-    const techlib::TechLibrary& lib, const TvlaConfig& config,
-    ProgressFn progress = {}, std::string label = {});
+[[nodiscard]] std::future<LeakageReport> submit(
+    engine::Scheduler& scheduler, std::shared_ptr<ShardRunner> runner,
+    std::string label = {});
 
-[[nodiscard]] std::future<LeakageReport> submit_fixed_vs_fixed(
-    engine::Scheduler& scheduler, const netlist::Netlist& design,
-    const techlib::TechLibrary& lib, const TvlaConfig& config,
-    ProgressFn progress = {}, std::string label = {});
-
-/// Pre-compiled-plan variants of the async entry points (see the
-/// run_fixed_vs_random CompiledDesignPtr overload): the caller's plan is
-/// shared by every shard instead of compiling in the submit call. The
-/// plan's netlist must stay alive until the future is ready.
-[[nodiscard]] std::future<LeakageReport> submit_fixed_vs_random(
-    engine::Scheduler& scheduler, sim::CompiledDesignPtr design,
-    const techlib::TechLibrary& lib, const TvlaConfig& config,
-    ProgressFn progress = {}, std::string label = {});
-
-[[nodiscard]] std::future<LeakageReport> submit_fixed_vs_fixed(
-    engine::Scheduler& scheduler, sim::CompiledDesignPtr design,
-    const techlib::TechLibrary& lib, const TvlaConfig& config,
-    ProgressFn progress = {}, std::string label = {});
+/// Synchronous campaign: builds a ShardRunner and drains it on a private
+/// engine::Scheduler(config.threads). Throws like the ShardRunner
+/// constructor on invalid configs.
+[[nodiscard]] LeakageReport run(const netlist::Netlist& design,
+                                const techlib::TechLibrary& lib,
+                                const TvlaConfig& config,
+                                Protocol protocol = Protocol::kFixedVsRandom);
 
 }  // namespace polaris::tvla

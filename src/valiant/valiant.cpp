@@ -13,8 +13,7 @@ ValiantResult run_valiant(const netlist::Netlist& design,
                           const ValiantConfig& config) {
   util::Timer timer;
 
-  tvla::LeakageReport before =
-      tvla::run_fixed_vs_random(design, lib, config.tvla);
+  tvla::LeakageReport before = tvla::run(design, lib, config.tvla);
 
   std::vector<GateId> masked_set;
   std::vector<bool> in_set(design.gate_count(), false);
@@ -46,7 +45,7 @@ ValiantResult run_valiant(const netlist::Netlist& design,
     current = masking::apply_masking(design, masked_set, config.scheme).design;
     ++rounds;
     // Re-evaluate: this TVLA round is the flow's runtime cost center.
-    latest = tvla::run_fixed_vs_random(current, lib, config.tvla);
+    latest = tvla::run(current, lib, config.tvla);
   }
 
   ValiantResult result{std::move(current), std::move(masked_set), rounds,

@@ -65,7 +65,7 @@ TEST(AdaptiveTvla, StopDecisionIsIdenticalAcrossThreadsAndLaneWords) {
   tvla::TvlaConfig reference_config = config;
   reference_config.threads = 1;
   reference_config.lane_words = 1;
-  const auto reference = tvla::run_fixed_vs_random(nl, lib(), reference_config);
+  const auto reference = tvla::run(nl, lib(), reference_config);
   ASSERT_TRUE(reference.early_stopped());
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
@@ -73,7 +73,7 @@ TEST(AdaptiveTvla, StopDecisionIsIdenticalAcrossThreadsAndLaneWords) {
       tvla::TvlaConfig sweep = config;
       sweep.threads = threads;
       sweep.lane_words = lane_words;
-      const auto report = tvla::run_fixed_vs_random(nl, lib(), sweep);
+      const auto report = tvla::run(nl, lib(), sweep);
       EXPECT_EQ(report.early_stopped(), reference.early_stopped())
           << threads << "t/" << lane_words << "w";
       EXPECT_EQ(report.traces_used(), reference.traces_used())
@@ -89,10 +89,9 @@ TEST(AdaptiveTvla, EarlyStopSavesTracesAtTheSameVerdict) {
   tvla::TvlaConfig fixed;
   fixed.traces = 8192;
   fixed.noise_std_fj = 0.1;
-  const auto full = tvla::run_fixed_vs_random(nl, lib(), fixed);
+  const auto full = tvla::run(nl, lib(), fixed);
 
-  const auto report =
-      tvla::run_fixed_vs_random(nl, lib(), budget_config(8192, 512));
+  const auto report = tvla::run(nl, lib(), budget_config(8192, 512));
   EXPECT_TRUE(report.early_stopped());
   EXPECT_LT(report.traces_used(), 8192u);
   EXPECT_GE(report.traces_used(), 512u);
@@ -111,13 +110,13 @@ TEST(AdaptiveTvla, UndecidedBudgetMatchesFixedPathBitIdentically) {
   tvla::TvlaConfig fixed;
   fixed.traces = 2048;
   fixed.seed = 33;
-  const auto expected = tvla::run_fixed_vs_random(nl, lib(), fixed);
+  const auto expected = tvla::run(nl, lib(), fixed);
 
   tvla::TvlaConfig undecided = fixed;
   undecided.budget.enabled = true;
   undecided.budget.min_traces = 128;
   undecided.budget.margin = 1e18;
-  const auto report = tvla::run_fixed_vs_random(nl, lib(), undecided);
+  const auto report = tvla::run(nl, lib(), undecided);
   EXPECT_FALSE(report.early_stopped());
   EXPECT_EQ(report.traces_used(), 2048u);
   expect_reports_bit_identical(report, expected);
@@ -129,14 +128,15 @@ TEST(AdaptiveTvla, ProgressFiresInMilestoneOrderWithPartialReports) {
 
   std::vector<std::size_t> checkpoints;
   engine::Scheduler scheduler(4);
-  auto future = tvla::submit_fixed_vs_random(
-      scheduler, nl, lib(), config,
+  auto runner = std::make_shared<tvla::ShardRunner>(nl, lib(), config);
+  runner->set_progress(
       [&](const tvla::LeakageReport& partial, std::size_t traces_done) {
         // Called under the campaign merge lock: plain vector is safe.
         checkpoints.push_back(traces_done);
         EXPECT_EQ(partial.t_values().size(), nl.gate_count());
         EXPECT_EQ(partial.traces_used(), traces_done);
       });
+  auto future = tvla::submit(scheduler, std::move(runner));
   scheduler.drain();
   const auto report = future.get();
 
@@ -154,13 +154,15 @@ TEST(AdaptiveTvla, ProgressFiresInMilestoneOrderWithPartialReports) {
 TEST(AdaptiveTvla, SchedulerSubmissionMatchesSynchronousRun) {
   const auto nl = leaky_netlist();
   const auto config = budget_config(8192, 512);
-  const auto synchronous = tvla::run_fixed_vs_random(nl, lib(), config);
+  const auto synchronous = tvla::run(nl, lib(), config);
 
   engine::Scheduler scheduler(3);
-  auto a = tvla::submit_fixed_vs_random(scheduler, nl, lib(), config);
+  auto a = tvla::submit(scheduler,
+                        std::make_shared<tvla::ShardRunner>(nl, lib(), config));
   // A second campaign interleaves in the same queue; both must still stop
   // at the same milestone with the same stats.
-  auto b = tvla::submit_fixed_vs_random(scheduler, nl, lib(), config);
+  auto b = tvla::submit(scheduler,
+                        std::make_shared<tvla::ShardRunner>(nl, lib(), config));
   scheduler.drain();
   for (auto* future : {&a, &b}) {
     const auto report = future->get();
@@ -172,7 +174,7 @@ TEST(AdaptiveTvla, SchedulerSubmissionMatchesSynchronousRun) {
 
 TEST(AdaptiveTvla, EnabledBudgetRequiresPositiveMinTraces) {
   tvla::TvlaConfig config = budget_config(1024, 0);
-  EXPECT_THROW((void)tvla::run_fixed_vs_random(leaky_netlist(), lib(), config),
+  EXPECT_THROW((void)tvla::run(leaky_netlist(), lib(), config),
                std::invalid_argument);
 }
 

@@ -99,7 +99,7 @@ TEST(Coherence, MaskedRegionLeaksOnlyAtBoundary) {
   tvla::TvlaConfig config;
   config.traces = 8192;
   config.noise_std_fj = 1.0;
-  const auto before = tvla::run_fixed_vs_random(nl, lib(), config);
+  const auto before = tvla::run(nl, lib(), config);
   const auto leaky = before.leaky_groups();
   ASSERT_FALSE(leaky.empty());
   std::vector<netlist::GateId> maskable;
@@ -107,7 +107,7 @@ TEST(Coherence, MaskedRegionLeaksOnlyAtBoundary) {
     if (netlist::is_maskable(nl.gate(g).type)) maskable.push_back(g);
   }
   const auto masked = masking::apply_masking(nl, maskable);
-  const auto after = tvla::run_fixed_vs_random(masked.design, lib(), config);
+  const auto after = tvla::run(masked.design, lib(), config);
   for (const auto g : maskable) {
     EXPECT_LT(std::fabs(after.t_value(g)), config.threshold)
         << "masked group g" << g << " must collapse";
@@ -122,7 +122,7 @@ TEST_P(SchemeLeakage, BothSchemesCollapseMaskedGroups) {
   tvla::TvlaConfig config;
   config.traces = 8192;
   config.noise_std_fj = 0.5;
-  const auto before = tvla::run_fixed_vs_random(nl, lib(), config);
+  const auto before = tvla::run(nl, lib(), config);
   const auto leaky = before.leaky_groups();
   ASSERT_FALSE(leaky.empty());
   std::vector<netlist::GateId> targets;
@@ -130,7 +130,7 @@ TEST_P(SchemeLeakage, BothSchemesCollapseMaskedGroups) {
     if (netlist::is_maskable(nl.gate(g).type)) targets.push_back(g);
   }
   const auto masked = masking::apply_masking(nl, targets, scheme);
-  const auto after = tvla::run_fixed_vs_random(masked.design, lib(), config);
+  const auto after = tvla::run(masked.design, lib(), config);
   double before_sum = 0.0, after_sum = 0.0;
   for (const auto g : targets) {
     before_sum += std::fabs(before.t_value(g));

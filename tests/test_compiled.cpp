@@ -4,8 +4,8 @@
 // words, toggle words, and per-lane energies; the single-group readout is
 // checked against lane-by-lane counts of the simulator's toggle words; TVLA
 // campaigns over the kernel are checked bit-identical across 1/2/8 threads
-// and against the pre-compiled-plan overload. tests/test_golden.cpp remains the
-// end-to-end determinism lock (committed CSVs, byte-stable).
+// and against a runner built from a pre-compiled plan. tests/test_golden.cpp
+// remains the end-to-end determinism lock (committed CSVs, byte-stable).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -16,6 +16,7 @@
 
 #include "circuits/random_logic.hpp"
 #include "circuits/suite.hpp"
+#include "engine/scheduler.hpp"
 #include "masking/masking.hpp"
 #include "netlist/netlist.hpp"
 #include "power/power_model.hpp"
@@ -442,21 +443,24 @@ TEST(CompiledKernel, CampaignBitIdenticalAcrossThreads) {
   config.noise_std_fj = 1.0;
 
   config.threads = 1;
-  const auto t1 = tvla::run_fixed_vs_random(design.netlist, lib(), config);
+  const auto t1 = tvla::run(design.netlist, lib(), config);
   for (const std::size_t threads : {2u, 8u}) {
     config.threads = threads;
-    const auto tn = tvla::run_fixed_vs_random(design.netlist, lib(), config);
+    const auto tn = tvla::run(design.netlist, lib(), config);
     ASSERT_EQ(t1.t_values().size(), tn.t_values().size());
     for (std::size_t g = 0; g < t1.t_values().size(); ++g) {
       ASSERT_EQ(t1.t_values()[g], tn.t_values()[g]) << "threads=" << threads;
     }
   }
 
-  // The pre-compiled-plan overload shares one CompiledDesign across
-  // campaigns and still reproduces the same report bit-for-bit.
+  // A runner built from a pre-compiled plan shares one CompiledDesign
+  // across campaigns and still reproduces the same report bit-for-bit.
   const auto compiled = sim::compile(design.netlist);
-  config.threads = 2;
-  const auto shared_plan = tvla::run_fixed_vs_random(compiled, lib(), config);
+  engine::Scheduler scheduler(2);
+  auto future = tvla::submit(
+      scheduler, std::make_shared<tvla::ShardRunner>(compiled, lib(), config));
+  scheduler.drain();
+  const auto shared_plan = future.get();
   for (std::size_t g = 0; g < t1.t_values().size(); ++g) {
     ASSERT_EQ(t1.t_values()[g], shared_plan.t_values()[g]);
   }
@@ -471,10 +475,10 @@ TEST(CompiledKernel, SequentialCampaignBitIdenticalAcrossThreads) {
   config.noise_std_fj = 1.0;
 
   config.threads = 1;
-  const auto t1 = tvla::run_fixed_vs_random(design.netlist, lib(), config);
+  const auto t1 = tvla::run(design.netlist, lib(), config);
   for (const std::size_t threads : {2u, 8u}) {
     config.threads = threads;
-    const auto tn = tvla::run_fixed_vs_random(design.netlist, lib(), config);
+    const auto tn = tvla::run(design.netlist, lib(), config);
     for (std::size_t g = 0; g < t1.t_values().size(); ++g) {
       ASSERT_EQ(t1.t_values()[g], tn.t_values()[g]) << "threads=" << threads;
     }
@@ -540,8 +544,7 @@ TEST(CompiledKernel, InvalidLaneWordsRejected) {
   tvla::TvlaConfig tvla_config;
   tvla_config.traces = 128;
   tvla_config.lane_words = 3;
-  EXPECT_THROW(tvla::run_fixed_vs_random(design, lib(), tvla_config),
-               std::invalid_argument);
+  EXPECT_THROW(tvla::run(design, lib(), tvla_config), std::invalid_argument);
 }
 
 TEST(CompiledKernel, BufNotFusionPreservesResults) {
@@ -577,11 +580,10 @@ TEST(CompiledKernel, CampaignBitIdenticalAcrossLaneWords) {
   config.threads = 2;
 
   config.lane_words = 1;
-  const auto base = tvla::run_fixed_vs_random(design.netlist, lib(), config);
+  const auto base = tvla::run(design.netlist, lib(), config);
   for (const std::size_t lane_words : {0u, 2u, 4u, 8u}) {
     config.lane_words = lane_words;
-    const auto blocked =
-        tvla::run_fixed_vs_random(design.netlist, lib(), config);
+    const auto blocked = tvla::run(design.netlist, lib(), config);
     ASSERT_EQ(base.t_values().size(), blocked.t_values().size());
     for (std::size_t g = 0; g < base.t_values().size(); ++g) {
       ASSERT_EQ(base.t_values()[g], blocked.t_values()[g])
@@ -677,10 +679,9 @@ TEST(CompiledKernel, ForcedPortableScatterMatchesForcedAvx2) {
   for (const std::size_t lane_words : {1u, 4u}) {
     config.lane_words = lane_words;
     sim::set_simd_mode(sim::SimdMode::kPortable);
-    const auto portable =
-        tvla::run_fixed_vs_random(masked.design, lib(), config);
+    const auto portable = tvla::run(masked.design, lib(), config);
     sim::set_simd_mode(sim::SimdMode::kAvx2);
-    const auto avx2 = tvla::run_fixed_vs_random(masked.design, lib(), config);
+    const auto avx2 = tvla::run(masked.design, lib(), config);
     sim::set_simd_mode(sim::SimdMode::kAuto);
     ASSERT_EQ(portable.t_values().size(), avx2.t_values().size());
     std::size_t nonzero = 0;

@@ -175,8 +175,7 @@ TEST(Campaign, CombinationalReportIndependentOfThreadCount) {
   const auto serial = serial_reference(nl, lib(), config);
   for (const std::size_t threads : {1u, 2u, 8u, 0u}) {
     config.threads = threads;
-    expect_reports_identical(serial,
-                             tvla::run_fixed_vs_random(nl, lib(), config));
+    expect_reports_identical(serial, tvla::run(nl, lib(), config));
   }
 }
 
@@ -189,22 +188,20 @@ TEST(Campaign, SequentialReportIndependentOfThreadCount) {
   const auto serial = serial_reference(nl, lib(), config);
   for (const std::size_t threads : {1u, 2u, 8u}) {
     config.threads = threads;
-    expect_reports_identical(serial,
-                             tvla::run_fixed_vs_random(nl, lib(), config));
+    expect_reports_identical(serial, tvla::run(nl, lib(), config));
   }
 }
 
 TEST(Campaign, FixedVsFixedReportIndependentOfThreadCount) {
-  // ShardRunner has no fixed-vs-fixed mode, so the serial scheduler run is
-  // the reference here.
   const auto nl = circuits::make_adder(8);
   tvla::TvlaConfig config;
   config.traces = 2048;
   config.seed = 3;
   config.threads = 1;
-  const auto serial = tvla::run_fixed_vs_fixed(nl, lib(), config);
+  constexpr auto kProtocol = tvla::Protocol::kFixedVsFixed;
+  const auto serial = tvla::run(nl, lib(), config, kProtocol);
   config.threads = 8;
-  expect_reports_identical(serial, tvla::run_fixed_vs_fixed(nl, lib(), config));
+  expect_reports_identical(serial, tvla::run(nl, lib(), config, kProtocol));
 }
 
 TEST(Campaign, MaskedDesignReportIndependentOfThreadCount) {
@@ -221,8 +218,7 @@ TEST(Campaign, MaskedDesignReportIndependentOfThreadCount) {
   const auto serial = serial_reference(masked.design, lib(), config);
   for (const std::size_t threads : {1u, 8u}) {
     config.threads = threads;
-    expect_reports_identical(
-        serial, tvla::run_fixed_vs_random(masked.design, lib(), config));
+    expect_reports_identical(serial, tvla::run(masked.design, lib(), config));
   }
 }
 

@@ -125,8 +125,8 @@ tvla::TvlaConfig tvla_golden_config() {
 
 TEST(Golden, TvlaSquare) {
   const auto design = circuits::get_design("square", 0.4);
-  const auto report = tvla::run_fixed_vs_random(design.netlist, lib(),
-                                                tvla_golden_config());
+  const auto report =
+      tvla::run(design.netlist, lib(), tvla_golden_config());
   check_series("tvla_square.csv", "gate,t", report.t_values());
 }
 
@@ -136,8 +136,7 @@ TEST(Golden, TvlaMemctrlSequential) {
   const auto design = circuits::get_design("memctrl", 0.5);
   auto config = tvla_golden_config();
   config.cycles_per_batch = 8;
-  const auto report =
-      tvla::run_fixed_vs_random(design.netlist, lib(), config);
+  const auto report = tvla::run(design.netlist, lib(), config);
   check_series("tvla_memctrl.csv", "gate,t", report.t_values());
 }
 
@@ -150,8 +149,7 @@ TEST(Golden, TvlaSquareMasked) {
   for (netlist::GateId g = 0; g < targets.size(); ++g) targets[g] = g;
   const auto masked = masking::apply_masking(design.netlist, targets);
   ASSERT_GT(masked.masked_gates, 0u);
-  const auto report = tvla::run_fixed_vs_random(masked.design, lib(),
-                                                tvla_golden_config());
+  const auto report = tvla::run(masked.design, lib(), tvla_golden_config());
   check_series("tvla_square_masked.csv", "gate,t", report.t_values());
 }
 

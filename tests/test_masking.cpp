@@ -187,7 +187,7 @@ TEST(Masking, ReducesPerGateLeakage) {
   config.traces = 8192;
   config.noise_std_fj = 1.0;
   const auto lib = techlib::TechLibrary::default_library();
-  const auto before = tvla::run_fixed_vs_random(nl, lib, config);
+  const auto before = tvla::run(nl, lib, config);
   const auto leaky = before.leaky_groups();
   ASSERT_GT(leaky.size(), 5u);
 
@@ -196,7 +196,7 @@ TEST(Masking, ReducesPerGateLeakage) {
     if (netlist::is_maskable(nl.gate(g).type)) targets.push_back(g);
   }
   const auto result = masking::apply_masking(nl, targets, Scheme::kTrichina);
-  const auto after = tvla::run_fixed_vs_random(result.design, lib, config);
+  const auto after = tvla::run(result.design, lib, config);
 
   double before_sum = 0.0, after_sum = 0.0;
   for (const GateId g : targets) {

@@ -151,7 +151,7 @@ TEST_F(PolarisEndToEnd, MaskingReducesLeakage) {
     target.roles[i] = circuits::InputRole::kKey;
   }
   const auto tvla_config = core::tvla_config_for(polaris_->config(), target);
-  const auto before = tvla::run_fixed_vs_random(target.netlist, lib(), tvla_config);
+  const auto before = tvla::run(target.netlist, lib(), tvla_config);
   ASSERT_GT(before.leaky_count(), 0u);
 
   const auto outcome = polaris_->mask_design(target, lib(),

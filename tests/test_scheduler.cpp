@@ -113,8 +113,9 @@ TEST(Scheduler, MatchesPerCampaignPathAtEveryThreadCount) {
     engine::Scheduler scheduler(threads);
     std::vector<std::future<tvla::LeakageReport>> pending;
     for (const auto& c : cases) {
-      pending.push_back(
-          tvla::submit_fixed_vs_random(scheduler, c.design, lib(), c.config));
+      pending.push_back(tvla::submit(
+          scheduler,
+          std::make_shared<tvla::ShardRunner>(c.design, lib(), c.config)));
     }
     scheduler.drain();
     for (std::size_t i = 0; i < cases.size(); ++i) {
@@ -139,9 +140,9 @@ TEST(Scheduler, IndependentOfSubmissionOrder) {
     engine::Scheduler scheduler(8);
     std::vector<std::future<tvla::LeakageReport>> pending(cases.size());
     for (const std::size_t i : order) {
-      pending[i] =
-          tvla::submit_fixed_vs_random(scheduler, cases[i].design, lib(),
-                                       cases[i].config);
+      pending[i] = tvla::submit(
+          scheduler, std::make_shared<tvla::ShardRunner>(
+                         cases[i].design, lib(), cases[i].config));
     }
     scheduler.drain();
     for (std::size_t i = 0; i < cases.size(); ++i) {
@@ -157,9 +158,11 @@ TEST(Scheduler, FixedVsFixedMatchesPerCampaignPath) {
   tvla::TvlaConfig config;
   config.traces = 2048;
   config.seed = 3;
-  const auto reference = tvla::run_fixed_vs_fixed(design, lib(), config);
+  constexpr auto kProtocol = tvla::Protocol::kFixedVsFixed;
+  const auto reference = tvla::run(design, lib(), config, kProtocol);
   engine::Scheduler scheduler(8);
-  auto pending = tvla::submit_fixed_vs_fixed(scheduler, design, lib(), config);
+  auto pending = tvla::submit(scheduler, std::make_shared<tvla::ShardRunner>(
+                                             design, lib(), config, kProtocol));
   scheduler.drain();
   expect_reports_identical(reference, pending.get());
 }
@@ -170,11 +173,11 @@ TEST(Scheduler, SingleCampaignDegenerateCase) {
   tvla::TvlaConfig config;
   config.traces = 2048;
   config.seed = 17;
-  const auto reference = tvla::run_fixed_vs_random(design, lib(), config);
+  const auto reference = tvla::run(design, lib(), config);
   for (const std::size_t threads : {1u, 16u}) {
     engine::Scheduler scheduler(threads);
-    auto pending =
-        tvla::submit_fixed_vs_random(scheduler, design, lib(), config);
+    auto pending = tvla::submit(
+        scheduler, std::make_shared<tvla::ShardRunner>(design, lib(), config));
     scheduler.drain();
     expect_reports_identical(reference, pending.get());
   }
@@ -190,9 +193,9 @@ TEST(Scheduler, OversubscriptionManyMoreCampaignsThanThreads) {
     tvla::TvlaConfig config;
     config.traces = 128 + 64 * (seed % 5);  // unequal batch counts
     config.seed = seed;
-    reference.push_back(tvla::run_fixed_vs_random(design, lib(), config));
-    pending.push_back(
-        tvla::submit_fixed_vs_random(scheduler, design, lib(), config));
+    reference.push_back(tvla::run(design, lib(), config));
+    pending.push_back(tvla::submit(
+        scheduler, std::make_shared<tvla::ShardRunner>(design, lib(), config)));
   }
   scheduler.drain();
   for (std::size_t i = 0; i < pending.size(); ++i) {
@@ -217,8 +220,8 @@ TEST(Scheduler, AuditDesignsMatchesPerDesignAudits) {
   ASSERT_EQ(reports.size(), designs.size());
   for (std::size_t i = 0; i < designs.size(); ++i) {
     expect_reports_identical(
-        tvla::run_fixed_vs_random(designs[i].netlist, lib(),
-                                  core::tvla_config_for(config, designs[i])),
+        tvla::run(designs[i].netlist, lib(),
+                  core::tvla_config_for(config, designs[i])),
         reports[i]);
   }
 }

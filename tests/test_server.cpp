@@ -190,7 +190,7 @@ std::string* ServerTest::bundle_path_ = nullptr;
 TEST_F(ServerTest, AuditIsBitIdenticalToOfflineAtEveryThreadCount) {
   const auto config = audit_config();
   const auto design = circuits::load_design("des3", 0.3);
-  const auto expected = tvla::run_fixed_vs_random(
+  const auto expected = tvla::run(
       design.netlist, lib(), core::tvla_config_for(config, design));
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
@@ -343,7 +343,7 @@ TEST_F(ServerTest, ConcurrentClientsGetCorrectAnswers) {
   std::vector<tvla::LeakageReport> expected;
   for (const char* name : kDesigns) {
     const auto design = circuits::load_design(name, 0.25);
-    expected.push_back(tvla::run_fixed_vs_random(
+    expected.push_back(tvla::run(
         design.netlist, lib(), core::tvla_config_for(config, design)));
   }
 
@@ -760,7 +760,7 @@ TEST_F(ServerTest, StreamingAuditMatchesOfflineEarlyStop) {
   config.tvla.budget.enabled = true;
   config.tvla.budget.min_traces = 256;
   const auto design = circuits::load_design("des3", 0.3);
-  const auto offline = tvla::run_fixed_vs_random(
+  const auto offline = tvla::run(
       design.netlist, lib(), core::tvla_config_for(config, design));
 
   auto daemon = make_server(4);
@@ -1092,7 +1092,7 @@ TEST_F(ServerTest, TcpEndpointServesBitIdenticalAudits) {
 
   const auto config = audit_config();
   const auto design = circuits::load_design("des3", 0.3);
-  const auto expected = tvla::run_fixed_vs_random(
+  const auto expected = tvla::run(
       design.netlist, lib(), core::tvla_config_for(config, design));
 
   server::Client client(endpoint);

@@ -179,7 +179,7 @@ TEST(TimeSeriesSampler, SamplingLeavesTvlaResultsBitIdentical) {
   config.traces = 256;
   config.seed = 11;
   config.threads = 1;
-  const auto baseline = tvla::run_fixed_vs_random(design, lib, config);
+  const auto baseline = tvla::run(design, lib, config);
 
   obs::Sampler::Options options;
   options.interval_ms = 1;  // pathological: sample as fast as possible
@@ -189,7 +189,7 @@ TEST(TimeSeriesSampler, SamplingLeavesTvlaResultsBitIdentical) {
   for (const std::size_t threads : {1u, 2u, 8u}) {
     tvla::TvlaConfig sampled = config;
     sampled.threads = threads;
-    const auto report = tvla::run_fixed_vs_random(design, lib, sampled);
+    const auto report = tvla::run(design, lib, sampled);
     ASSERT_EQ(report.t_values().size(), baseline.t_values().size());
     EXPECT_EQ(report.t_values(), baseline.t_values()) << threads << " threads";
     EXPECT_EQ(report.leaky_count(), baseline.leaky_count());

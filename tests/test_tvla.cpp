@@ -30,7 +30,7 @@ TEST(Tvla, DetectsDataDependentGate) {
   tvla::TvlaConfig config;
   config.traces = 8192;
   config.noise_std_fj = 0.5;
-  const auto report = tvla::run_fixed_vs_random(nl, lib(), config);
+  const auto report = tvla::run(nl, lib(), config);
   EXPECT_GT(std::fabs(report.t_value(nl.net(y).driver)), 4.5);
   EXPECT_FALSE(report.leaky_groups().empty());
 }
@@ -43,7 +43,7 @@ TEST(Tvla, NoFalsePositivesOnRandomCommonInputs) {
   config.traces = 4096;
   config.input_class.assign(nl.primary_inputs().size(),
                             tvla::InputClass::kRandomCommon);
-  const auto report = tvla::run_fixed_vs_random(nl, lib(), config);
+  const auto report = tvla::run(nl, lib(), config);
   EXPECT_TRUE(report.leaky_groups().empty());
 }
 
@@ -69,7 +69,7 @@ TEST(Tvla, FixedCommonInputsProduceNoActivity) {
   config.input_class = {tvla::InputClass::kFixedCommon,
                         tvla::InputClass::kSensitive,
                         tvla::InputClass::kSensitive};
-  const auto report = tvla::run_fixed_vs_random(nl, lib(), config);
+  const auto report = tvla::run(nl, lib(), config);
   EXPECT_EQ(report.t_value(nl.net(key_only).driver), 0.0);
   EXPECT_LT(std::fabs(report.t_value(nl.net(linear_mix).driver)), 4.5);
   EXPECT_GT(std::fabs(report.t_value(nl.net(nonlinear).driver)), 4.5);
@@ -80,14 +80,14 @@ TEST(Tvla, DeterministicForSeed) {
   tvla::TvlaConfig config;
   config.traces = 2048;
   config.seed = 33;
-  const auto a = tvla::run_fixed_vs_random(nl, lib(), config);
-  const auto b = tvla::run_fixed_vs_random(nl, lib(), config);
+  const auto a = tvla::run(nl, lib(), config);
+  const auto b = tvla::run(nl, lib(), config);
   ASSERT_EQ(a.t_values().size(), b.t_values().size());
   for (std::size_t g = 0; g < a.t_values().size(); ++g) {
     EXPECT_DOUBLE_EQ(a.t_values()[g], b.t_values()[g]);
   }
   config.seed = 34;
-  const auto c = tvla::run_fixed_vs_random(nl, lib(), config);
+  const auto c = tvla::run(nl, lib(), config);
   bool any_different = false;
   for (std::size_t g = 0; g < a.t_values().size(); ++g) {
     if (a.t_values()[g] != c.t_values()[g]) any_different = true;
@@ -99,7 +99,7 @@ TEST(Tvla, ZeroTracesYieldsAllZero) {
   const auto nl = circuits::make_adder(4);
   tvla::TvlaConfig config;
   config.traces = 0;
-  const auto report = tvla::run_fixed_vs_random(nl, lib(), config);
+  const auto report = tvla::run(nl, lib(), config);
   for (const double t : report.t_values()) EXPECT_EQ(t, 0.0);
   EXPECT_TRUE(report.leaky_groups().empty());
   EXPECT_EQ(report.total_abs_t(), 0.0);
@@ -112,8 +112,8 @@ TEST(Tvla, NoiseFloorShrinksT) {
   quiet.noise_std_fj = 0.2;
   tvla::TvlaConfig loud = quiet;
   loud.noise_std_fj = 8.0;
-  const auto report_quiet = tvla::run_fixed_vs_random(nl, lib(), quiet);
-  const auto report_loud = tvla::run_fixed_vs_random(nl, lib(), loud);
+  const auto report_quiet = tvla::run(nl, lib(), quiet);
+  const auto report_loud = tvla::run(nl, lib(), loud);
   EXPECT_GT(report_quiet.total_abs_t(), report_loud.total_abs_t() * 2.0);
 }
 
@@ -124,8 +124,8 @@ TEST(Tvla, MoreTracesFindMoreLeaks) {
   small.noise_std_fj = 2.0;
   tvla::TvlaConfig big = small;
   big.traces = 16384;
-  const auto report_small = tvla::run_fixed_vs_random(nl, lib(), small);
-  const auto report_big = tvla::run_fixed_vs_random(nl, lib(), big);
+  const auto report_small = tvla::run(nl, lib(), small);
+  const auto report_big = tvla::run(nl, lib(), big);
   EXPECT_GE(report_big.leaky_count(), report_small.leaky_count());
   EXPECT_GT(report_big.leaky_count(), 0u);
 }
@@ -142,7 +142,7 @@ TEST(Tvla, SequentialDesignRuns) {
   for (std::size_t i = 2 + 12; i < 2 + 12 + 8; ++i) {
     config.input_class[i] = tvla::InputClass::kSensitive;
   }
-  const auto report = tvla::run_fixed_vs_random(nl, lib(), config);
+  const auto report = tvla::run(nl, lib(), config);
   for (const double t : report.t_values()) EXPECT_TRUE(std::isfinite(t));
   // The write-data merge / DQ-bus cone is data-dependent: gates must leak.
   EXPECT_GT(report.leaky_count(), 0u);
@@ -158,7 +158,8 @@ TEST(Tvla, FixedVsFixedDistinguishesVectors) {
   config.noise_std_fj = 0.3;
   config.fixed_input = {true};
   config.fixed_input_b = {false};
-  const auto report = tvla::run_fixed_vs_fixed(nl, lib(), config);
+  const auto report =
+      tvla::run(nl, lib(), config, tvla::Protocol::kFixedVsFixed);
   // Class A settles high (toggle iff base was 0), class B settles low:
   // different toggle probabilities unless base is uniform... both are
   // Bernoulli(1/2) against a random base - so the BUF shows no difference.
@@ -170,7 +171,7 @@ TEST(Tvla, ReportAccessorsConsistent) {
   const auto nl = circuits::make_adder(6);
   tvla::TvlaConfig config;
   config.traces = 2048;
-  const auto report = tvla::run_fixed_vs_random(nl, lib(), config);
+  const auto report = tvla::run(nl, lib(), config);
   EXPECT_EQ(report.group_count(), nl.gate_count());
   EXPECT_GT(report.measured_count(), 0u);
   EXPECT_LE(report.measured_count(), report.group_count());
@@ -188,12 +189,10 @@ TEST(Tvla, ConfigValidation) {
   const auto nl = circuits::make_adder(4);
   tvla::TvlaConfig config;
   config.fixed_input = {true};  // wrong size
-  EXPECT_THROW((void)tvla::run_fixed_vs_random(nl, lib(), config),
-               std::invalid_argument);
+  EXPECT_THROW((void)tvla::run(nl, lib(), config), std::invalid_argument);
   tvla::TvlaConfig config2;
   config2.input_class = {tvla::InputClass::kSensitive};  // wrong size
-  EXPECT_THROW((void)tvla::run_fixed_vs_random(nl, lib(), config2),
-               std::invalid_argument);
+  EXPECT_THROW((void)tvla::run(nl, lib(), config2), std::invalid_argument);
 }
 
 }  // namespace

@@ -58,10 +58,12 @@ int cmd_mask(std::span<const char* const> args) {
   if (verify) {
     const auto tvla_config = core::tvla_config_for(polaris.config(), design);
     engine::Scheduler scheduler(polaris.config().threads);
-    auto before_future = tvla::submit_fixed_vs_random(scheduler, design.netlist,
-                                                      lib, tvla_config);
-    auto after_future = tvla::submit_fixed_vs_random(scheduler, outcome.masked,
-                                                     lib, tvla_config);
+    auto before_future = tvla::submit(
+        scheduler, std::make_shared<tvla::ShardRunner>(design.netlist, lib,
+                                                       tvla_config));
+    auto after_future = tvla::submit(
+        scheduler, std::make_shared<tvla::ShardRunner>(outcome.masked, lib,
+                                                       tvla_config));
     scheduler.drain();
     before = before_future.get();
     outcome.verification = after_future.get();
