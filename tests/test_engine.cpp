@@ -197,11 +197,12 @@ TEST(Campaign, FixedVsFixedReportIndependentOfThreadCount) {
   tvla::TvlaConfig config;
   config.traces = 2048;
   config.seed = 3;
-  config.threads = 1;
   constexpr auto kProtocol = tvla::Protocol::kFixedVsFixed;
-  const auto serial = tvla::run(nl, lib(), config, kProtocol);
-  config.threads = 8;
-  expect_reports_identical(serial, tvla::run(nl, lib(), config, kProtocol));
+  const auto serial = serial_reference(nl, lib(), config, kProtocol);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    config.threads = threads;
+    expect_reports_identical(serial, tvla::run(nl, lib(), config, kProtocol));
+  }
 }
 
 TEST(Campaign, MaskedDesignReportIndependentOfThreadCount) {
