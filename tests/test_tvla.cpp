@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "circuits/aes_sbox.hpp"
 #include "circuits/arith.hpp"
 #include "circuits/memctrl.hpp"
+#include "circuits/suite.hpp"
+#include "core/polaris.hpp"
 #include "netlist/netlist.hpp"
+#include "obs/obs.hpp"
+#include "sim/compiled.hpp"
 #include "tvla/tvla.hpp"
 
 namespace {
@@ -193,6 +199,57 @@ TEST(Tvla, ConfigValidation) {
   tvla::TvlaConfig config2;
   config2.input_class = {tvla::InputClass::kSensitive};  // wrong size
   EXPECT_THROW((void)tvla::run(nl, lib(), config2), std::invalid_argument);
+}
+
+// --- compile count -----------------------------------------------------------
+// The `tvla.compile_us` histogram is the library's count of design
+// compiles (perfbench reports it as sim.compile_calls): a runner built from
+// a netlist compiles exactly once, one built from a caller-held plan never
+// does, and an audit compiles once per design.
+
+std::uint64_t compile_count() {
+  const auto snapshot = obs::Registry::global().snapshot();
+  const auto* compiles = snapshot.find_histogram("tvla.compile_us");
+  return compiles == nullptr ? 0 : compiles->count;
+}
+
+TEST(Tvla, NetlistRunnerCompilesExactlyOnce) {
+  const auto nl = circuits::make_adder(6);
+  tvla::TvlaConfig config;
+  config.traces = 256;
+  const std::uint64_t start = compile_count();
+  const tvla::ShardRunner random(nl, lib(), config);
+  EXPECT_EQ(compile_count(), start + 1);
+  const tvla::ShardRunner fixed(nl, lib(), config,
+                                tvla::Protocol::kFixedVsFixed);
+  EXPECT_EQ(compile_count(), start + 2);
+  (void)tvla::run(nl, lib(), config);
+  EXPECT_EQ(compile_count(), start + 3);
+}
+
+TEST(Tvla, CompiledPlanRunnerNeverCompiles) {
+  const auto nl = circuits::make_adder(6);
+  const auto compiled = sim::compile(nl);
+  tvla::TvlaConfig config;
+  config.traces = 256;
+  const std::uint64_t start = compile_count();
+  const tvla::ShardRunner random(compiled, lib(), config);
+  const tvla::ShardRunner fixed(compiled, lib(), config,
+                                tvla::Protocol::kFixedVsFixed);
+  EXPECT_EQ(compile_count(), start);
+}
+
+TEST(Tvla, AuditCompilesOncePerDesign) {
+  core::PolarisConfig config;
+  config.tvla.traces = 256;
+  std::vector<circuits::Design> designs;
+  designs.push_back(circuits::get_design("square", 0.3));
+  designs.push_back(circuits::get_design("voter", 0.3));
+  designs.push_back(circuits::get_design("multiplier", 0.3));
+  const std::uint64_t start = compile_count();
+  const auto reports = core::audit_designs(designs, lib(), config);
+  ASSERT_EQ(reports.size(), designs.size());
+  EXPECT_EQ(compile_count(), start + designs.size());
 }
 
 }  // namespace
