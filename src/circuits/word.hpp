@@ -89,7 +89,6 @@ class WordBuilder {
   /// Logical / arithmetic shift right by a constant.
   [[nodiscard]] Word shift_right(const Word& a, std::size_t amount,
                                  bool arithmetic = false);
-  [[nodiscard]] Word concat(const Word& low, const Word& high) const;
 
  private:
   netlist::Netlist& nl_;

@@ -156,7 +156,10 @@ void write_config(serialize::Writer& out, const PolarisConfig& config) {
   }
   out.u8_vec(classes);
   out.bool_vec(config.tvla.fixed_input);
-  out.bool_vec(config.tvla.fixed_input_b);
+  // Retired slot: bundle v1 carried a second fixed vector for the deleted
+  // fixed-vs-fixed protocol. Always empty, so payloads and fingerprints
+  // keep their layout.
+  out.bool_vec({});
   out.f64(config.min_leak_for_label);
   out.u32(static_cast<std::uint32_t>(config.scheme));
   out.f64(config.coherence_smoothing);
@@ -199,7 +202,7 @@ PolarisConfig read_config(serialize::Reader& in) {
     config.tvla.input_class.push_back(static_cast<tvla::InputClass>(c));
   }
   config.tvla.fixed_input = in.bool_vec();
-  config.tvla.fixed_input_b = in.bool_vec();
+  (void)in.bool_vec();  // retired fixed-vs-fixed vector (see write_config)
   config.min_leak_for_label = in.f64();
   const std::uint32_t scheme_raw = in.u32();
   if (scheme_raw > static_cast<std::uint32_t>(masking::Scheme::kDom)) {

@@ -196,11 +196,6 @@ void Scheduler::drain() {
   }
 }
 
-std::size_t Scheduler::pending_shards() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
-}
-
 std::vector<CampaignProgress> Scheduler::progress() const {
   const std::int64_t now = obs::now_ns();
   std::vector<CampaignProgress> table;

@@ -206,9 +206,6 @@ class Scheduler {
   /// fan-out then runs inline (see ThreadPool).
   void drain();
 
-  /// Shards still queued (not yet popped or claimed). Test/bench hook.
-  [[nodiscard]] std::size_t pending_shards() const;
-
   /// Per-campaign progress table of every submitted-but-unfinalized
   /// campaign, in submission order. Built from state the scheduler already
   /// tracks under its mutex - no extra bookkeeping on the shard hot path.

@@ -72,12 +72,4 @@ std::vector<double> FeatureExtractor::extract(GateId gate) {
   return features;
 }
 
-std::vector<std::vector<double>> FeatureExtractor::extract_all(
-    const std::vector<GateId>& gates) {
-  std::vector<std::vector<double>> rows;
-  rows.reserve(gates.size());
-  for (const GateId gate : gates) rows.push_back(extract(gate));
-  return rows;
-}
-
 }  // namespace polaris::graph

@@ -57,10 +57,6 @@ class FeatureExtractor {
   /// Feature vector of `gate` (size spec().dim()).
   [[nodiscard]] std::vector<double> extract(netlist::GateId gate);
 
-  /// Stacked features for a set of gates (row-major, one row per gate).
-  [[nodiscard]] std::vector<std::vector<double>> extract_all(
-      const std::vector<netlist::GateId>& gates);
-
  private:
   const netlist::Netlist& netlist_;
   FeatureSpec spec_;

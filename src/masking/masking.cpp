@@ -240,35 +240,4 @@ MaskingResult apply_masking(const Netlist& original,
   return result;
 }
 
-std::size_t composite_cell_count(CellType type, std::size_t fan_in,
-                                 Scheme scheme) {
-  if (!netlist::is_maskable(type) || fan_in < 2) return 0;
-  (void)scheme;  // Trichina and DOM expand to the same cell count
-  // Exact for fan_in == 2 with clear operands (the dominant case); each
-  // extra fold stage reuses the accumulated mask, so n-ary gates cost
-  // slightly less per stage. Counts exclude boundary demask XORs, which
-  // belong to the readers.
-  const std::size_t invert =
-      (type == CellType::kNand || type == CellType::kNor ||
-       type == CellType::kXnor)
-          ? 1
-          : 0;
-  switch (type) {
-    case CellType::kAnd:
-    case CellType::kNand:
-      // 3 rand + 2 reshare XOR + 4 AND + 4 XOR (+1 final buffer).
-      return 13 * (fan_in - 1) + 1 + invert;
-    case CellType::kOr:
-    case CellType::kNor:
-      // AND composite plus 2 input inverters and 1 output inverter.
-      return 16 * (fan_in - 1) + 1 + invert;
-    case CellType::kXor:
-    case CellType::kXnor:
-      // 1 reshare (rand + XOR) + value XOR (+1 final buffer).
-      return 3 * (fan_in - 1) + 1 + invert;
-    default:
-      return 0;
-  }
-}
-
 }  // namespace polaris::masking

@@ -57,9 +57,4 @@ struct MaskingResult {
                                           std::span<const netlist::GateId> targets,
                                           Scheme scheme = Scheme::kTrichina);
 
-/// Number of cells a masked composite for (type, fan_in) expands to.
-/// Useful for overhead estimation before committing to a rewrite.
-[[nodiscard]] std::size_t composite_cell_count(netlist::CellType type,
-                                               std::size_t fan_in, Scheme scheme);
-
 }  // namespace polaris::masking

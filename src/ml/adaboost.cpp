@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "serialize/model_io.hpp"
+#include "util/rng.hpp"
 
 namespace polaris::ml {
 

@@ -1,7 +1,6 @@
 #include "ml/dataset.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 namespace polaris::ml {
@@ -39,24 +38,6 @@ void Dataset::apply_class_balance_weights() {
   for (std::size_t i = 0; i < size(); ++i) {
     weights_[i] = labels_[i] == 1 ? w_pos : w_neg;
   }
-}
-
-std::pair<Dataset, Dataset> Dataset::split(double train_fraction,
-                                           std::uint64_t seed) const {
-  std::vector<std::size_t> order(size());
-  std::iota(order.begin(), order.end(), 0);
-  util::Xoshiro256 rng(seed);
-  for (std::size_t i = order.size(); i > 1; --i) {  // Fisher-Yates
-    std::swap(order[i - 1], order[rng.bounded(i)]);
-  }
-  const auto cut = static_cast<std::size_t>(
-      train_fraction * static_cast<double>(order.size()));
-  Dataset train, test;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const std::size_t src = order[i];
-    (i < cut ? train : test).add(rows_[src], labels_[src], weights_[src]);
-  }
-  return {std::move(train), std::move(test)};
 }
 
 void Dataset::append(const Dataset& other) {

@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "util/rng.hpp"
-
 namespace polaris::ml {
 
 class Dataset {
@@ -43,10 +41,6 @@ class Dataset {
   /// Sets weights so both classes carry equal total weight ("weighted
   /// training for XGBoost and AdaBoost", Sec. V-B).
   void apply_class_balance_weights();
-
-  /// Deterministic shuffled split; returns {train, test}.
-  [[nodiscard]] std::pair<Dataset, Dataset> split(double train_fraction,
-                                                  std::uint64_t seed) const;
 
   /// Concatenate another dataset (feature counts must match).
   void append(const Dataset& other);

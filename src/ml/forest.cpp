@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "serialize/model_io.hpp"
+#include "util/rng.hpp"
 
 namespace polaris::ml {
 

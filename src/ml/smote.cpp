@@ -4,6 +4,8 @@
 #include <cmath>
 #include <vector>
 
+#include "util/rng.hpp"
+
 namespace polaris::ml {
 
 Dataset smote_oversample(const Dataset& data, const SmoteConfig& config) {

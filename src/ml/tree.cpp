@@ -5,6 +5,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "util/rng.hpp"
+
 namespace polaris::ml {
 
 double Tree::predict(std::span<const double> x) const {
@@ -30,12 +32,6 @@ std::size_t Tree::depth() const {
     max_depth = std::max(max_depth, depth[i]);
   }
   return max_depth;
-}
-
-std::size_t Tree::leaf_count() const {
-  std::size_t count = 0;
-  for (const auto& node : nodes) count += node.is_leaf() ? 1 : 0;
-  return count;
 }
 
 double TreeEnsemble::margin(std::span<const double> x) const {

@@ -32,7 +32,6 @@ struct Tree {
 
   [[nodiscard]] double predict(std::span<const double> x) const;
   [[nodiscard]] std::size_t depth() const;
-  [[nodiscard]] std::size_t leaf_count() const;
 };
 
 /// Weighted additive ensemble: margin(x) = base + sum_t weight_t * tree_t(x).

@@ -69,35 +69,6 @@ Arity arity_of(CellType type) noexcept {
   return {0, 0};
 }
 
-bool eval_cell(CellType type, std::span<const bool> inputs) {
-  switch (type) {
-    case CellType::kBuf: return inputs[0];
-    case CellType::kNot: return !inputs[0];
-    case CellType::kMux: return inputs[0] ? inputs[2] : inputs[1];
-    case CellType::kAnd:
-    case CellType::kNand: {
-      bool acc = true;
-      for (const bool v : inputs) acc = acc && v;
-      return type == CellType::kAnd ? acc : !acc;
-    }
-    case CellType::kOr:
-    case CellType::kNor: {
-      bool acc = false;
-      for (const bool v : inputs) acc = acc || v;
-      return type == CellType::kOr ? acc : !acc;
-    }
-    case CellType::kXor:
-    case CellType::kXnor: {
-      bool acc = false;
-      for (const bool v : inputs) acc = acc != v;
-      return type == CellType::kXor ? acc : !acc;
-    }
-    default:
-      throw std::invalid_argument(
-          "eval_cell: not a combinational cell: " + std::string(to_string(type)));
-  }
-}
-
 std::uint64_t eval_cell_word(CellType type, std::span<const std::uint64_t> inputs) {
   switch (type) {
     case CellType::kBuf: return inputs[0];

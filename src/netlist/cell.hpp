@@ -76,13 +76,11 @@ struct Arity {
 };
 [[nodiscard]] Arity arity_of(CellType type) noexcept;
 
-/// Scalar reference evaluation, used by tests and the slow reference
-/// simulator. `inputs` are the operand values in gate order. Sources and
-/// DFFs are not evaluable here.
-[[nodiscard]] bool eval_cell(CellType type, std::span<const bool> inputs);
-
-/// 64-lane word evaluation used by the bit-parallel simulator. Semantics
-/// are eval_cell applied lane-wise.
+/// 64-lane word evaluation: lane l of the result is the cell's boolean
+/// function of lane l of each operand. `inputs` are the operand words in
+/// gate order (mux: {sel, a, b} -> sel ? b : a). Sources and DFFs are not
+/// evaluable here. The compiled kernels and sim::ReferenceSimulator both
+/// build on it.
 [[nodiscard]] std::uint64_t eval_cell_word(CellType type,
                                            std::span<const std::uint64_t> inputs);
 

@@ -95,14 +95,6 @@ void Netlist::mark_output(NetId net, std::string name) {
   primary_outputs_.push_back(net);
 }
 
-std::size_t Netlist::combinational_gate_count() const {
-  std::size_t count = 0;
-  for (const Gate& gate : gates_) {
-    if (is_combinational(gate.type)) ++count;
-  }
-  return count;
-}
-
 void Netlist::validate() const {
   for (NetId n = 0; n < nets_.size(); ++n) {
     if (nets_[n].driver == kNoGate) {

@@ -103,10 +103,6 @@ class Netlist {
     return primary_outputs_;
   }
 
-  /// Gates with is_combinational(type) (the maskable universe plus
-  /// buf/not/mux).
-  [[nodiscard]] std::size_t combinational_gate_count() const;
-
   // --- integrity ----------------------------------------------------------
 
   /// Throws std::runtime_error describing the first violated invariant.

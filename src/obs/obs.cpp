@@ -87,50 +87,34 @@ double HistogramSnapshot::percentile(double p) const {
 
 namespace {
 
-// Merges the sparse (index, count) lists of `into` and `from` (both
-// ascending); `scale` of -1 subtracts instead of adding.
-void combine_buckets(
+// Subtracts the sparse (index, count) list `from` from `into` (both
+// ascending), saturating each bucket at zero.
+void subtract_buckets(
     std::vector<std::pair<std::uint32_t, std::uint64_t>>& into,
-    const std::vector<std::pair<std::uint32_t, std::uint64_t>>& from,
-    bool subtract) {
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> merged;
-  merged.reserve(into.size() + from.size());
-  std::size_t a = 0;
+    const std::vector<std::pair<std::uint32_t, std::uint64_t>>& from) {
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> kept;
+  kept.reserve(into.size());
   std::size_t b = 0;
-  while (a < into.size() || b < from.size()) {
-    if (b >= from.size() ||
-        (a < into.size() && into[a].first < from[b].first)) {
-      merged.push_back(into[a++]);
-    } else if (a >= into.size() || from[b].first < into[a].first) {
-      const auto [index, value] = from[b++];
-      if (!subtract) merged.emplace_back(index, value);
-      // Subtracting a bucket this snapshot never saw: saturate to zero by
-      // dropping it (only happens if the snapshots are unrelated).
-    } else {
-      const std::uint64_t ours = into[a].second;
+  for (const auto& [index, ours] : into) {
+    // Buckets this snapshot never saw only occur if the snapshots are
+    // unrelated: skip them (saturate to zero).
+    while (b < from.size() && from[b].first < index) ++b;
+    if (b < from.size() && from[b].first == index) {
       const std::uint64_t theirs = from[b].second;
-      const std::uint64_t value =
-          subtract ? (ours > theirs ? ours - theirs : 0) : ours + theirs;
-      if (value > 0) merged.emplace_back(into[a].first, value);
-      ++a;
-      ++b;
+      if (ours > theirs) kept.emplace_back(index, ours - theirs);
+    } else {
+      kept.emplace_back(index, ours);
     }
   }
-  into = std::move(merged);
+  into = std::move(kept);
 }
 
 }  // namespace
 
-void HistogramSnapshot::merge(const HistogramSnapshot& other) {
-  count += other.count;
-  sum += other.sum;
-  combine_buckets(buckets, other.buckets, /*subtract=*/false);
-}
-
 void HistogramSnapshot::subtract(const HistogramSnapshot& earlier) {
   count = count > earlier.count ? count - earlier.count : 0;
   sum = sum > earlier.sum ? sum - earlier.sum : 0;
-  combine_buckets(buckets, earlier.buckets, /*subtract=*/true);
+  subtract_buckets(buckets, earlier.buckets);
 }
 
 const CounterSnapshot* Snapshot::find_counter(std::string_view name) const {
@@ -144,35 +128,6 @@ const HistogramSnapshot* Snapshot::find_histogram(
   for (const auto& histogram : histograms)
     if (histogram.name == name) return &histogram;
   return nullptr;
-}
-
-void Snapshot::merge(const Snapshot& other) {
-  for (const auto& theirs : other.counters) {
-    bool found = false;
-    for (auto& ours : counters) {
-      if (ours.name == theirs.name) {
-        ours.value += theirs.value;
-        found = true;
-        break;
-      }
-    }
-    if (!found) counters.push_back(theirs);
-  }
-  for (const auto& theirs : other.histograms) {
-    bool found = false;
-    for (auto& ours : histograms) {
-      if (ours.name == theirs.name) {
-        ours.merge(theirs);
-        found = true;
-        break;
-      }
-    }
-    if (!found) histograms.push_back(theirs);
-  }
-  std::sort(counters.begin(), counters.end(),
-            [](const auto& a, const auto& b) { return a.name < b.name; });
-  std::sort(histograms.begin(), histograms.end(),
-            [](const auto& a, const auto& b) { return a.name < b.name; });
 }
 
 void Snapshot::subtract(const Snapshot& earlier) {

@@ -130,9 +130,6 @@ struct HistogramSnapshot {
                       : static_cast<double>(sum) / static_cast<double>(count);
   }
 
-  /// Adds `other`'s samples into this snapshot (histograms with the same
-  /// bucket layout merge exactly; merging is associative and commutative).
-  void merge(const HistogramSnapshot& other);
   /// Removes `earlier`'s samples (for interval deltas between two
   /// snapshots of the same growing histogram). Saturates at zero.
   void subtract(const HistogramSnapshot& earlier);
@@ -152,10 +149,6 @@ struct Snapshot {
     const auto* counter = find_counter(name);
     return counter == nullptr ? 0 : counter->value;
   }
-
-  /// Merges `other` into this snapshot (union of names, sums where both
-  /// sides have a metric). Associative and commutative.
-  void merge(const Snapshot& other);
 
   /// Removes `earlier`'s samples from this snapshot - the interval delta
   /// between two snapshots of the same growing registry. Counter values

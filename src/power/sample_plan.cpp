@@ -66,7 +66,8 @@ SamplePlan::SamplePlan(const sim::CompiledDesign& compiled,
   }
 
   // active_gates() is ascending by id, so multis_ inherits the
-  // ascending-GateId order the accumulation contract requires.
+  // ascending-GateId order the accumulation contract requires (singles_
+  // inherits it too).
   single_energy_.assign(group_count, 0.0);
   for (const GateId g : power.active_gates()) {
     const GateId grp = design.gate(g).group;
@@ -79,12 +80,6 @@ SamplePlan::SamplePlan(const sim::CompiledDesign& compiled,
           MultiOp{compiled.toggle_slot(g), multi, power.gate_energy(g)});
     }
   }
-  // Single counters are integers, so their order is free: walk the toggle
-  // array forward.
-  std::sort(singles_.begin(), singles_.end(),
-            [](const SingleOp& a, const SingleOp& b) {
-              return a.toggle_slot < b.toggle_slot;
-            });
 }
 
 void SamplePlan::scatter_multis(const std::uint64_t* toggle_words,

@@ -13,9 +13,9 @@
 // multi members are stored in ascending GateId order - globally, and
 // therefore within every group - so the per-group double accumulation
 // order of lane-energy sums is exactly the ascending-id order the
-// pre-compiled sampler used. Singles carry no float order: their counters
-// are exact integers, so they are stored in ascending toggle-slot order
-// instead, and the single readout streams the toggle array forward.
+// pre-compiled sampler used. Singles are stored in GateId order as well;
+// their counters are exact integers, so their order cannot change a
+// result.
 //
 // Blocked readout (sample()): one call ingests a whole K-word lane block -
 // up to K batches of 64 traces evaluated in one simulator pass. Multi

@@ -21,7 +21,6 @@ void FlightRecorder::record(const Record& record, std::string_view kind_name) {
       ring_[next_] = record;
       next_ = (next_ + 1) % capacity_;
     }
-    ++total_;
   }
   if (slow_threshold_us_ != 0 && record.duration_us >= slow_threshold_us_) {
     static auto& slow = obs::Registry::global().counter("server.slow_requests");
@@ -52,11 +51,6 @@ std::vector<FlightRecorder::Record> FlightRecorder::recent() const {
     }
   }
   return out;
-}
-
-std::uint64_t FlightRecorder::total_recorded() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return total_;
 }
 
 }  // namespace polaris::server

@@ -45,8 +45,6 @@ class FlightRecorder {
   [[nodiscard]] std::vector<Record> recent() const;
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  /// Total records ever deposited (not capped by the ring).
-  [[nodiscard]] std::uint64_t total_recorded() const;
 
  private:
   const std::size_t capacity_;
@@ -54,7 +52,6 @@ class FlightRecorder {
   mutable std::mutex mutex_;
   std::vector<Record> ring_;   // grows to capacity_, then wraps
   std::size_t next_ = 0;       // ring_[next_] is the oldest once full
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace polaris::server

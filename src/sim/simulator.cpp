@@ -6,9 +6,6 @@
 
 namespace polaris::sim {
 
-using netlist::CellType;
-using netlist::NetId;
-
 Simulator::Simulator(const netlist::Netlist& netlist, std::uint64_t seed,
                      std::size_t lane_words)
     : Simulator(compile(netlist), seed, lane_words) {}
@@ -48,14 +45,6 @@ void Simulator::set_input_word(std::size_t pi_index, std::size_t word_index,
   values_[static_cast<std::size_t>(compiled_->pi_slots_.at(pi_index)) *
               lane_words_ +
           word_index] = word;
-}
-
-void Simulator::set_input_net(NetId net, std::uint64_t word) {
-  const auto& netlist = compiled_->design();
-  if (netlist.gate(netlist.net(net).driver).type != CellType::kInput) {
-    throw std::invalid_argument("set_input_net: not a primary-input net");
-  }
-  values_[static_cast<std::size_t>(compiled_->slot(net)) * lane_words_] = word;
 }
 
 void Simulator::set_inputs_random() {

@@ -81,8 +81,6 @@ class Simulator {
   /// Sets lane word `word_index` of the i-th primary input.
   void set_input_word(std::size_t pi_index, std::size_t word_index,
                       std::uint64_t word);
-  /// Same as set_input, addressed by net (must be a primary-input net).
-  void set_input_net(netlist::NetId net, std::uint64_t word);
   /// Fills every primary input of every lane word with fresh random words
   /// (word w draws from its own stream, inputs in ascending order).
   void set_inputs_random();

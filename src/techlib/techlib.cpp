@@ -92,20 +92,4 @@ double TechLibrary::delay(CellType type, std::size_t fan_in,
          base.delay_per_fanout_ps * static_cast<double>(fanout);
 }
 
-double TechLibrary::area(const netlist::Netlist& netlist,
-                         netlist::GateId gate) const {
-  const auto& g = netlist.gate(gate);
-  return area(g.type, g.inputs.size());
-}
-
-double TechLibrary::switch_energy(const netlist::Netlist& netlist,
-                                  netlist::GateId gate) const {
-  const auto& g = netlist.gate(gate);
-  return switch_energy(g.type, g.inputs.size());
-}
-
-void TechLibrary::set_base_cost(CellType type, const CellCost& cost) {
-  costs_[static_cast<std::size_t>(type)] = cost;
-}
-
 }  // namespace polaris::techlib

@@ -19,7 +19,6 @@
 #include <cstddef>
 
 #include "netlist/cell.hpp"
-#include "netlist/netlist.hpp"
 
 namespace polaris::techlib {
 
@@ -47,15 +46,6 @@ class TechLibrary {
   [[nodiscard]] double leakage(netlist::CellType type, std::size_t fan_in) const;
   [[nodiscard]] double delay(netlist::CellType type, std::size_t fan_in,
                              std::size_t fanout) const;
-
-  /// Convenience overloads on netlist gates.
-  [[nodiscard]] double area(const netlist::Netlist& netlist,
-                            netlist::GateId gate) const;
-  [[nodiscard]] double switch_energy(const netlist::Netlist& netlist,
-                                     netlist::GateId gate) const;
-
-  /// Replace a cost record (for library-exploration experiments).
-  void set_base_cost(netlist::CellType type, const CellCost& cost);
 
  private:
   TechLibrary() = default;

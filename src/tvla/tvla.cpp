@@ -119,7 +119,7 @@ sim::CompiledDesignPtr compile_timed(const netlist::Netlist& design) {
 }  // namespace
 
 /// The campaign body: owns the campaign-wide, read-only context (the
-/// compiled design plan, power model, sampling plan, fixed vectors) and
+/// compiled design plan, power model, sampling plan, fixed vector) and
 /// defines how one shard of traces is stimulated and sampled. The design
 /// is compiled ONCE per runner; every shard's Simulator shares the plan, so
 /// per-shard setup never re-runs topological_order() or rebuilds a
@@ -128,21 +128,17 @@ sim::CompiledDesignPtr compile_timed(const netlist::Netlist& design) {
 /// ShardState that dies with its shard.
 struct ShardRunner::Impl {
   Impl(sim::CompiledDesignPtr compiled, const techlib::TechLibrary& lib,
-       const TvlaConfig& config, Protocol protocol)
+       const TvlaConfig& config)
       : design_(compiled->design()),
         config_(config),
-        protocol_(protocol),
         compiled_(std::move(compiled)),
         power_(design_, lib),
         plan_(*compiled_, power_) {
     const std::size_t n_inputs = design_.primary_inputs().size();
-    fixed_a_ = config.fixed_input.empty()
-                   ? derive_fixed_vector(n_inputs, config.seed ^ 0xf1e1dcafeULL)
-                   : config.fixed_input;
-    fixed_b_ = config.fixed_input_b.empty()
-                   ? derive_fixed_vector(n_inputs, config.seed ^ 0xbeefULL)
-                   : config.fixed_input_b;
-    if (fixed_a_.size() != n_inputs || fixed_b_.size() != n_inputs) {
+    fixed_ = config.fixed_input.empty()
+                 ? derive_fixed_vector(n_inputs, config.seed ^ 0xf1e1dcafeULL)
+                 : config.fixed_input;
+    if (fixed_.size() != n_inputs) {
       throw std::invalid_argument("TVLA fixed vector size mismatch");
     }
     if (!config.input_class.empty() && config.input_class.size() != n_inputs) {
@@ -186,10 +182,7 @@ struct ShardRunner::Impl {
           .add("traces", static_cast<std::uint64_t>(config_.traces))
           .add("lane_words", static_cast<std::uint64_t>(lane_words_))
           .add("simd", sim::simd_name(lane_words_))
-          .add("sequential", sequential_)
-          .add("mode", protocol_ == Protocol::kFixedVsRandom
-                           ? "fixed-vs-random"
-                           : "fixed-vs-fixed");
+          .add("sequential", sequential_);
       tracer.async_begin("campaign", "tvla", trace_id_, std::move(args).str());
     }
   }
@@ -367,7 +360,7 @@ struct ShardRunner::Impl {
     const auto& inputs = design_.primary_inputs();
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       if (input_class(i) == InputClass::kFixedCommon) {
-        const std::uint64_t word = fixed_a_[i] ? ~0ULL : 0ULL;
+        const std::uint64_t word = fixed_[i] ? ~0ULL : 0ULL;
         for (std::size_t w = 0; w < words; ++w) {
           state.simulator.set_input_word(i, w, word);
         }
@@ -382,20 +375,17 @@ struct ShardRunner::Impl {
   void apply_target_inputs(ShardState& state, std::size_t words) const {
     const auto& inputs = design_.primary_inputs();
     for (std::size_t i = 0; i < inputs.size(); ++i) {
-      const std::uint64_t a = fixed_a_[i] ? ~0ULL : 0ULL;
-      const std::uint64_t b = fixed_b_[i] ? ~0ULL : 0ULL;
+      const std::uint64_t fixed_word = fixed_[i] ? ~0ULL : 0ULL;
       for (std::size_t w = 0; w < words; ++w) {
         const std::uint64_t fixed_mask = state.class_masks[w];
         std::uint64_t word = 0;
         switch (input_class(i)) {
           case InputClass::kSensitive:
-            word = (protocol_ == Protocol::kFixedVsRandom)
-                       ? (a & fixed_mask) |
-                             (state.stimulus[w]() & ~fixed_mask)
-                       : (a & fixed_mask) | (b & ~fixed_mask);
+            word = (fixed_word & fixed_mask) |
+                   (state.stimulus[w]() & ~fixed_mask);
             break;
           case InputClass::kFixedCommon:
-            word = a;
+            word = fixed_word;
             break;
           case InputClass::kRandomCommon:
             word = state.stimulus[w]();
@@ -522,7 +512,6 @@ struct ShardRunner::Impl {
  private:
   const netlist::Netlist& design_;
   TvlaConfig config_;
-  Protocol protocol_;
   sim::CompiledDesignPtr compiled_;
   power::PowerModel power_;
   power::SamplePlan plan_;
@@ -530,7 +519,7 @@ struct ShardRunner::Impl {
   std::size_t lane_words_ = 1;
   engine::ShardPlan shard_plan_;
   std::uint64_t trace_id_ = 0;  // async span id; 0 = tracing was off
-  std::vector<bool> fixed_a_, fixed_b_;
+  std::vector<bool> fixed_;
   // Early-stop state (budget-enabled campaigns only). The schedule is
   // fixed at construction; stopped_/traces_used_ are written by at most
   // one checkpoint (under the scheduler's campaign merge lock) and read
@@ -543,13 +532,13 @@ struct ShardRunner::Impl {
 
 ShardRunner::ShardRunner(const netlist::Netlist& design,
                          const techlib::TechLibrary& lib,
-                         const TvlaConfig& config, Protocol protocol)
-    : ShardRunner(compile_timed(design), lib, config, protocol) {}
+                         const TvlaConfig& config)
+    : ShardRunner(compile_timed(design), lib, config) {}
 
 ShardRunner::ShardRunner(sim::CompiledDesignPtr design,
                          const techlib::TechLibrary& lib,
-                         const TvlaConfig& config, Protocol protocol)
-    : impl_(std::make_unique<Impl>(std::move(design), lib, config, protocol)) {}
+                         const TvlaConfig& config)
+    : impl_(std::make_unique<Impl>(std::move(design), lib, config)) {}
 
 ShardRunner::~ShardRunner() = default;
 
@@ -607,9 +596,8 @@ std::future<LeakageReport> submit(engine::Scheduler& scheduler,
 }
 
 LeakageReport run(const netlist::Netlist& design,
-                  const techlib::TechLibrary& lib, const TvlaConfig& config,
-                  Protocol protocol) {
-  auto runner = std::make_shared<ShardRunner>(design, lib, config, protocol);
+                  const techlib::TechLibrary& lib, const TvlaConfig& config) {
+  auto runner = std::make_shared<ShardRunner>(design, lib, config);
   engine::Scheduler scheduler(config.threads);
   auto future = submit(scheduler, std::move(runner));
   scheduler.drain();

@@ -6,12 +6,9 @@
 // class against the random class. Gates with |t| > 4.5 are considered leaky
 // (Fig. 4).
 //
-// Two stimulus protocols are provided (Sec. II-A; see Protocol):
-//  * fixed-vs-random - lanes in the fixed class switch from a random base
-//    vector to a fixed target vector; random-class lanes switch to a fresh
-//    random vector.
-//  * fixed-vs-fixed  - two distinct fixed target vectors (known intermediate
-//    values) are compared.
+// The stimulus protocol is fixed-vs-random (Sec. II-A): lanes in the fixed
+// class switch from a random base vector to a fixed target vector;
+// random-class lanes switch to a fresh random vector.
 // Sequential designs (DFFs present) run free-running multi-cycle traces with
 // per-cycle sampling instead of vector pairs.
 //
@@ -123,8 +120,6 @@ struct TvlaConfig {
   /// Fixed target vector (one bit per primary input). Empty = derived
   /// deterministically from `seed`.
   std::vector<bool> fixed_input;
-  /// Second fixed vector for fixed-vs-fixed. Empty = derived from seed.
-  std::vector<bool> fixed_input_b;
   /// Early-stopping trace budget (off by default; see TvlaBudget).
   TvlaBudget budget;
 };
@@ -178,9 +173,6 @@ class LeakageReport {
   bool early_stopped_ = false;
 };
 
-/// Stimulus protocol of a campaign (see the header comment).
-enum class Protocol : std::uint8_t { kFixedVsRandom, kFixedVsFixed };
-
 /// Checkpoint observer for budget-enabled campaigns (streaming audits),
 /// installed with ShardRunner::set_progress: called once per checkpoint in
 /// milestone order with the partial report computed from the merged shard
@@ -193,7 +185,7 @@ using ProgressFn =
     std::function<void(const LeakageReport& partial, std::size_t traces_done)>;
 
 /// One TVLA campaign: the compiled design, power model, sampling plan,
-/// fixed vectors and checkpoint schedule, plus the function that runs one
+/// fixed vector and checkpoint schedule, plus the function that runs one
 /// shard of it. run_shard(s) is the very function the scheduler runs for
 /// shard s, so per-shard moments computed on ANY host merge - in ascending
 /// shard order - into a report bit-identical to run()/submit(). This is
@@ -215,15 +207,13 @@ class ShardRunner {
   /// vector or input_class size mismatch, bad lane_words, zero budget
   /// floor). `design` and `lib` must outlive the runner.
   ShardRunner(const netlist::Netlist& design, const techlib::TechLibrary& lib,
-              const TvlaConfig& config,
-              Protocol protocol = Protocol::kFixedVsRandom);
+              const TvlaConfig& config);
   /// Same campaign over a pre-compiled execution plan: callers that run
   /// several campaigns on one design (or want compile time measured apart
   /// from trace time, as bench_fig4_tvla does) compile once and share the
   /// plan. The plan's netlist and `lib` must outlive the runner.
   ShardRunner(sim::CompiledDesignPtr design, const techlib::TechLibrary& lib,
-              const TvlaConfig& config,
-              Protocol protocol = Protocol::kFixedVsRandom);
+              const TvlaConfig& config);
   ~ShardRunner();
 
   ShardRunner(const ShardRunner&) = delete;
@@ -282,7 +272,6 @@ class ShardRunner {
 /// constructor on invalid configs.
 [[nodiscard]] LeakageReport run(const netlist::Netlist& design,
                                 const techlib::TechLibrary& lib,
-                                const TvlaConfig& config,
-                                Protocol protocol = Protocol::kFixedVsRandom);
+                                const TvlaConfig& config);
 
 }  // namespace polaris::tvla

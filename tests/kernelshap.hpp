@@ -1,17 +1,44 @@
-#include "xai/kernelshap.hpp"
+// Kernel SHAP (Lundberg & Lee 2017): model-agnostic Shapley estimation by
+// weighted linear regression over sampled coalitions (paper Sec. IV-B names
+// Kernel SHAP as the model-agnostic member of the SHAP family).
+//
+// Test-only oracle: it shares no code with xai/treeshap and cross-validates
+// exact TreeSHAP in test_xai_kernelshap. Estimates converge to Eq. 6 as
+// samples grow. Header-only, since every test source is its own binary.
+#pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "util/rng.hpp"
 
 namespace polaris::xai {
-namespace {
+
+struct KernelShapConfig {
+  /// Sampled coalitions (excluding the two trivial ones, handled exactly).
+  std::size_t samples = 2048;
+  /// Ridge regularization for the weighted least squares solve.
+  double ridge = 1e-6;
+  std::uint64_t seed = 1;
+};
+
+struct KernelShapResult {
+  std::vector<double> phi;
+  double expected_value = 0.0;  // E[f] over the background set
+  double fx = 0.0;              // f(x)
+};
+
+namespace detail {
 
 /// Solves the symmetric positive-definite system A x = b in place by
 /// Gaussian elimination with partial pivoting (dimensions are small: one
 /// row/column per feature).
-std::vector<double> solve(std::vector<std::vector<double>> a,
+inline std::vector<double> solve(std::vector<std::vector<double>> a,
                           std::vector<double> b) {
   const std::size_t n = b.size();
   for (std::size_t col = 0; col < n; ++col) {
@@ -39,13 +66,15 @@ std::vector<double> solve(std::vector<std::vector<double>> a,
   return x;
 }
 
-}  // namespace
+}  // namespace detail
 
-KernelShapResult kernel_shap(
+/// `f` maps a feature row to the model output (margin). `background` rows
+/// define the reference distribution for absent features.
+[[nodiscard]] inline KernelShapResult kernel_shap(
     const std::function<double(std::span<const double>)>& f,
     std::span<const double> x,
     const std::vector<std::vector<double>>& background,
-    const KernelShapConfig& config) {
+    const KernelShapConfig& config = {}) {
   const std::size_t m = x.size();
   if (m < 2) throw std::invalid_argument("kernel_shap: need >= 2 features");
   if (background.empty()) {
@@ -127,7 +156,7 @@ KernelShapResult kernel_shap(
   }
   for (std::size_t i = 0; i < dims; ++i) ata[i][i] += config.ridge;
 
-  const std::vector<double> head = solve(std::move(ata), std::move(atb));
+  const std::vector<double> head = detail::solve(std::move(ata), std::move(atb));
   result.phi.assign(m, 0.0);
   double head_sum = 0.0;
   for (std::size_t i = 0; i < dims; ++i) {

@@ -3,7 +3,9 @@
 // the host-independent config fingerprint.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "core/config.hpp"
 #include "core/polaris.hpp"
@@ -164,7 +166,6 @@ TEST(ConfigIo, RoundTripsEveryKnob) {
   EXPECT_EQ(loaded.tvla.noise_std_fj, config.tvla.noise_std_fj);
   EXPECT_EQ(loaded.tvla.input_class, config.tvla.input_class);
   EXPECT_EQ(loaded.tvla.fixed_input, config.tvla.fixed_input);
-  EXPECT_EQ(loaded.tvla.fixed_input_b, config.tvla.fixed_input_b);
   EXPECT_EQ(loaded.min_leak_for_label, config.min_leak_for_label);
   EXPECT_EQ(loaded.scheme, config.scheme);
   EXPECT_EQ(loaded.coherence_smoothing, config.coherence_smoothing);
@@ -215,6 +216,65 @@ TEST(ConfigIo, DisabledBudgetKeepsTheVersion1ByteLayout) {
   in.exit_chunk();
 }
 
+TEST(ConfigIo, ReadsAndDiscardsTheRetiredSecondFixedVector) {
+  // Bundle v1 carried a second fixed vector (the retired fixed-vs-fixed
+  // protocol) right after `fixed_input`. Payloads that still hold one must
+  // load, with every other field intact. Hand-encoded v1 layout:
+  const auto encode = [](const std::vector<bool>& second_fixed) {
+    serialize::Writer out;
+    out.begin_chunk("CONF");
+    out.u32(1);        // payload version
+    out.u64(40);       // mask_size
+    out.u64(4);        // locality
+    out.u64(9);        // iterations
+    out.f64(0.6);      // theta_r
+    out.u32(static_cast<std::uint32_t>(core::ModelKind::kAdaBoost));
+    out.f64(0.05);     // learning_rate
+    out.u64(120);      // model_rounds
+    out.boolean(true); // handle_imbalance
+    out.u64(2048);     // tvla.traces
+    out.u64(4);        // tvla.warmup_cycles
+    out.u64(32);       // tvla.cycles_per_batch
+    out.f64(4.5);      // tvla.threshold
+    out.u64(17);       // tvla.seed
+    out.u64(0);        // tvla.threads
+    out.f64(1.5);      // tvla.noise_std_fj
+    out.u8_vec({});    // tvla.input_class
+    out.bool_vec({true, false});  // tvla.fixed_input
+    out.bool_vec(second_fixed);
+    out.f64(2.5);      // min_leak_for_label
+    out.u32(static_cast<std::uint32_t>(masking::Scheme::kDom));
+    out.f64(0.3);      // coherence_smoothing
+    out.u64(23);       // seed
+    out.u64(0);        // threads
+    out.end_chunk();
+    return out.finish();
+  };
+  const auto decode = [](const std::vector<std::uint8_t>& bytes) {
+    serialize::Reader in(bytes);
+    in.enter_chunk("CONF");
+    auto config = core::read_config(in);
+    in.exit_chunk();
+    return config;
+  };
+  const auto legacy = decode(encode({true, false, true, true}));
+  EXPECT_EQ(legacy.tvla.fixed_input, (std::vector<bool>{true, false}));
+  EXPECT_EQ(legacy.tvla.seed, 17u);
+  EXPECT_EQ(legacy.min_leak_for_label, 2.5);
+  EXPECT_EQ(legacy.scheme, masking::Scheme::kDom);
+  EXPECT_EQ(legacy.coherence_smoothing, 0.3);
+  EXPECT_EQ(legacy.seed, 23u);
+  EXPECT_FALSE(legacy.tvla.budget.enabled);
+
+  // Re-encoding writes the slot empty: the bytes of the same payload
+  // without a second vector.
+  serialize::Writer out;
+  out.begin_chunk("CONF");
+  core::write_config(out, legacy);
+  out.end_chunk();
+  EXPECT_EQ(out.finish(), encode({}));
+}
+
 TEST(ConfigValidate, BudgetKnobsAreChecked) {
   core::PolarisConfig config;
   config.tvla.budget.enabled = true;
@@ -244,6 +304,18 @@ TEST(ConfigFingerprint, DisabledBudgetDoesNotChangeIdentity) {
   // Enabling early stopping changes results, so it must change identity.
   b.tvla.budget.enabled = true;
   EXPECT_NE(core::config_fingerprint(a), core::config_fingerprint(b));
+}
+
+TEST(ConfigFingerprint, PinnedAcrossReleases) {
+  // Result-cache keys and bundle identities must not move when the config
+  // struct changes shape: these are the values bundles already carry.
+  EXPECT_EQ(core::config_fingerprint(core::PolarisConfig{}),
+            0xe2a5b6b4196becf8ULL);
+  core::PolarisConfig budgeted;
+  budgeted.tvla.budget.enabled = true;
+  budgeted.tvla.budget.min_traces = 2048;
+  budgeted.tvla.budget.margin = 0.25;
+  EXPECT_EQ(core::config_fingerprint(budgeted), 0x06d79f9e528efd4dULL);
 }
 
 TEST(ConfigFingerprint, StableAndThreadInvariant) {

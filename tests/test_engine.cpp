@@ -192,19 +192,6 @@ TEST(Campaign, SequentialReportIndependentOfThreadCount) {
   }
 }
 
-TEST(Campaign, FixedVsFixedReportIndependentOfThreadCount) {
-  const auto nl = circuits::make_adder(8);
-  tvla::TvlaConfig config;
-  config.traces = 2048;
-  config.seed = 3;
-  constexpr auto kProtocol = tvla::Protocol::kFixedVsFixed;
-  const auto serial = serial_reference(nl, lib(), config, kProtocol);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    config.threads = threads;
-    expect_reports_identical(serial, tvla::run(nl, lib(), config, kProtocol));
-  }
-}
-
 TEST(Campaign, MaskedDesignReportIndependentOfThreadCount) {
   // Masked composites add kRand cells, exercising the per-batch mask-share
   // reseeding path.

@@ -104,15 +104,18 @@ TEST(FeatureExtractor, ScalarsNormalized) {
   }
 }
 
-TEST(FeatureExtractor, DeterministicAndBatchedAgree) {
+TEST(FeatureExtractor, DeterministicAcrossCallOrder) {
+  // The extractor reuses its BFS scratch between calls: a row must not
+  // depend on which gates were extracted before it.
   circuits::RandomLogicConfig config;
   config.gates = 150;
   config.seed = 29;
   const auto nl = circuits::make_random_logic(config);
   graph::FeatureExtractor fx(nl, graph::FeatureSpec{5});
-  std::vector<netlist::GateId> gates{3, 40, 80, 120};
-  const auto rows = fx.extract_all(gates);
-  for (std::size_t i = 0; i < gates.size(); ++i) {
+  const std::vector<netlist::GateId> gates{3, 40, 80, 120};
+  std::vector<std::vector<double>> rows;
+  for (const netlist::GateId gate : gates) rows.push_back(fx.extract(gate));
+  for (std::size_t i = gates.size(); i-- > 0;) {
     EXPECT_EQ(rows[i], fx.extract(gates[i]));
   }
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "circuits/aes_sbox.hpp"
 #include "circuits/arith.hpp"
@@ -157,9 +158,14 @@ TEST(Masking, SkipsInvalidTargets) {
 }
 
 TEST(Masking, CompositeCellCountMatchesEmission) {
-  for (const CellType type :
-       {CellType::kAnd, CellType::kOr, CellType::kNand, CellType::kNor,
-        CellType::kXor, CellType::kXnor}) {
+  // Cells a 2-input Trichina composite expands to: 3 rand + 2 reshare XOR
+  // + 4 AND + 4 XOR (+1 final buffer) for AND; OR adds 2 input inverters
+  // and 1 output inverter; XOR is 1 reshare (rand + XOR) + value XOR (+1
+  // final buffer). Inverting types add one output inverter.
+  const std::pair<CellType, std::size_t> expected[] = {
+      {CellType::kAnd, 14}, {CellType::kNand, 15}, {CellType::kOr, 17},
+      {CellType::kNor, 18}, {CellType::kXor, 4},   {CellType::kXnor, 5}};
+  for (const auto& [type, composite_cells] : expected) {
     netlist::Netlist nl;
     const NetId a = nl.add_input("a");
     const NetId b = nl.add_input("b");
@@ -171,12 +177,16 @@ TEST(Masking, CompositeCellCountMatchesEmission) {
     // Emitted = composite cells (+1 for the replaced original) plus the
     // primary-output demask XOR at the masked boundary.
     const std::size_t emitted = result.design.gate_count() - nl.gate_count() + 1;
-    EXPECT_EQ(emitted,
-              masking::composite_cell_count(type, 2, Scheme::kTrichina) + 1)
-        << netlist::to_string(type);
+    EXPECT_EQ(emitted, composite_cells + 1) << netlist::to_string(type);
   }
-  EXPECT_EQ(masking::composite_cell_count(CellType::kNot, 1, Scheme::kTrichina),
-            0u);
+  // A non-maskable cell expands to nothing: the rewrite skips it.
+  netlist::Netlist nl;
+  nl.mark_output(nl.add_cell(CellType::kNot, {nl.add_input("a")}));
+  const GateId inverter = nl.net(nl.primary_outputs()[0]).driver;
+  const auto result =
+      masking::apply_masking(nl, std::array{inverter}, Scheme::kTrichina);
+  EXPECT_EQ(result.skipped, 1u);
+  EXPECT_EQ(result.design.gate_count(), nl.gate_count());
 }
 
 TEST(Masking, ReducesPerGateLeakage) {

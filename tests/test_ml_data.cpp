@@ -45,21 +45,6 @@ TEST(Dataset, BalanceWithSingleClassIsNoop) {
   EXPECT_DOUBLE_EQ(data.weight(0), 1.0);
 }
 
-TEST(Dataset, SplitPartitionsAndIsDeterministic) {
-  Dataset data;
-  for (int i = 0; i < 100; ++i) data.add({static_cast<double>(i)}, i % 2);
-  auto [train_a, test_a] = data.split(0.8, 42);
-  auto [train_b, test_b] = data.split(0.8, 42);
-  EXPECT_EQ(train_a.size(), 80u);
-  EXPECT_EQ(test_a.size(), 20u);
-  EXPECT_EQ(train_a.rows(), train_b.rows());
-  // Union of features covers the full index set exactly once.
-  std::vector<int> seen(100, 0);
-  for (const auto& row : train_a.rows()) seen[static_cast<int>(row[0])]++;
-  for (const auto& row : test_a.rows()) seen[static_cast<int>(row[0])]++;
-  for (const int count : seen) EXPECT_EQ(count, 1);
-}
-
 TEST(Dataset, AppendChecksWidth) {
   Dataset a, b;
   a.add({1.0, 2.0}, 1);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <utility>
+#include <vector>
+
 #include "ml/adaboost.hpp"
 #include "ml/forest.hpp"
 #include "ml/gbdt.hpp"
@@ -37,9 +41,31 @@ Dataset xor_dataset(std::size_t n, std::uint64_t seed) {
   return data;
 }
 
+/// Seeded shuffle, then the first `train_fraction` of rows train the model
+/// and the rest test it.
+std::pair<Dataset, Dataset> holdout_split(const Dataset& data,
+                                          double train_fraction,
+                                          std::uint64_t seed) {
+  std::vector<std::size_t> order(data.size());
+  std::iota(order.begin(), order.end(), 0);
+  polaris::util::Xoshiro256 rng(seed);
+  for (std::size_t i = order.size(); i > 1; --i) {  // Fisher-Yates
+    std::swap(order[i - 1], order[rng.bounded(i)]);
+  }
+  const auto cut = static_cast<std::size_t>(
+      train_fraction * static_cast<double>(order.size()));
+  Dataset train, test;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const std::size_t src = order[i];
+    (i < cut ? train : test).add(data.rows()[src], data.label(src),
+                                 data.weight(src));
+  }
+  return {std::move(train), std::move(test)};
+}
+
 template <typename Model>
 double holdout_accuracy(Model& model, const Dataset& data) {
-  auto [train, test] = data.split(0.7, 99);
+  auto [train, test] = holdout_split(data, 0.7, 99);
   model.fit(train);
   return evaluate(model, test).accuracy;
 }

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "netlist/cell.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/stats.hpp"
@@ -7,6 +11,13 @@
 namespace {
 
 using namespace polaris::netlist;
+
+/// Lane 0 of eval_cell_word with every operand broadcast to all lanes.
+bool eval_lane(CellType type, std::span<const bool> inputs) {
+  std::vector<std::uint64_t> words;
+  for (const bool v : inputs) words.push_back(v ? ~0ULL : 0ULL);
+  return (eval_cell_word(type, words) & 1ULL) != 0;
+}
 
 TEST(CellType, RoundTripNames) {
   for (std::size_t t = 0; t < kCellTypeCount; ++t) {
@@ -39,12 +50,12 @@ TEST(EvalCell, TruthTablesBinary) {
   for (const bool a : vals) {
     for (const bool b : vals) {
       const bool in[2] = {a, b};
-      EXPECT_EQ(eval_cell(CellType::kAnd, in), a && b);
-      EXPECT_EQ(eval_cell(CellType::kOr, in), a || b);
-      EXPECT_EQ(eval_cell(CellType::kNand, in), !(a && b));
-      EXPECT_EQ(eval_cell(CellType::kNor, in), !(a || b));
-      EXPECT_EQ(eval_cell(CellType::kXor, in), a != b);
-      EXPECT_EQ(eval_cell(CellType::kXnor, in), a == b);
+      EXPECT_EQ(eval_lane(CellType::kAnd, in), a && b);
+      EXPECT_EQ(eval_lane(CellType::kOr, in), a || b);
+      EXPECT_EQ(eval_lane(CellType::kNand, in), !(a && b));
+      EXPECT_EQ(eval_lane(CellType::kNor, in), !(a || b));
+      EXPECT_EQ(eval_lane(CellType::kXor, in), a != b);
+      EXPECT_EQ(eval_lane(CellType::kXnor, in), a == b);
     }
   }
 }
@@ -55,36 +66,46 @@ TEST(EvalCell, MuxAndUnary) {
     for (int a = 0; a < 2; ++a) {
       for (int b = 0; b < 2; ++b) {
         const bool in[3] = {sel != 0, a != 0, b != 0};
-        EXPECT_EQ(eval_cell(CellType::kMux, in), sel != 0 ? b != 0 : a != 0);
+        EXPECT_EQ(eval_lane(CellType::kMux, in), sel != 0 ? b != 0 : a != 0);
       }
     }
   }
   const bool one[1] = {true};
-  EXPECT_FALSE(eval_cell(CellType::kNot, one));
-  EXPECT_TRUE(eval_cell(CellType::kBuf, one));
+  EXPECT_FALSE(eval_lane(CellType::kNot, one));
+  EXPECT_TRUE(eval_lane(CellType::kBuf, one));
 }
 
 TEST(EvalCell, NaryGates) {
   const bool in3[3] = {true, true, false};
-  EXPECT_FALSE(eval_cell(CellType::kAnd, in3));
-  EXPECT_TRUE(eval_cell(CellType::kNand, in3));
-  EXPECT_TRUE(eval_cell(CellType::kOr, in3));
-  EXPECT_FALSE(eval_cell(CellType::kXor, in3));  // two ones
+  EXPECT_FALSE(eval_lane(CellType::kAnd, in3));
+  EXPECT_TRUE(eval_lane(CellType::kNand, in3));
+  EXPECT_TRUE(eval_lane(CellType::kOr, in3));
+  EXPECT_FALSE(eval_lane(CellType::kXor, in3));  // two ones
   const bool in4[4] = {true, true, true, false};
-  EXPECT_TRUE(eval_cell(CellType::kXor, in4));  // three ones
+  EXPECT_TRUE(eval_lane(CellType::kXor, in4));  // three ones
 }
 
-TEST(EvalCellWord, MatchesScalarLanewise) {
-  // Lane-0 semantics agree with eval_cell for every type and input combo.
-  for (const CellType type : {CellType::kAnd, CellType::kOr, CellType::kNand,
-                              CellType::kNor, CellType::kXor, CellType::kXnor}) {
-    for (int a = 0; a < 2; ++a) {
-      for (int b = 0; b < 2; ++b) {
-        const bool sin[2] = {a != 0, b != 0};
-        const std::uint64_t win[2] = {a != 0 ? ~0ULL : 0, b != 0 ? ~0ULL : 0};
-        EXPECT_EQ((eval_cell_word(type, win) & 1ULL) != 0, eval_cell(type, sin))
-            << to_string(type) << " " << a << b;
-      }
+TEST(EvalCellWord, LanesAreIndependent) {
+  // Operand words that cycle through every input combination: lane l of the
+  // result must be the broadcast evaluation of lane l's operand bits.
+  const std::uint64_t ops[3] = {0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL,
+                                0xF0F0F0F0F0F0F0F0ULL};
+  for (const CellType type :
+       {CellType::kAnd, CellType::kOr, CellType::kNand, CellType::kNor,
+        CellType::kXor, CellType::kXnor, CellType::kMux, CellType::kNot,
+        CellType::kBuf}) {
+    const std::size_t n = type == CellType::kMux ? 3
+                          : (type == CellType::kNot || type == CellType::kBuf)
+                              ? 1
+                              : 2;
+    const std::uint64_t word =
+        eval_cell_word(type, std::span<const std::uint64_t>(ops, n));
+    for (std::size_t lane = 0; lane < 64; ++lane) {
+      bool bits[3] = {};
+      for (std::size_t i = 0; i < n; ++i) bits[i] = ((ops[i] >> lane) & 1) != 0;
+      EXPECT_EQ(((word >> lane) & 1ULL) != 0,
+                eval_lane(type, std::span<const bool>(bits, n)))
+          << to_string(type) << " lane " << lane;
     }
   }
 }

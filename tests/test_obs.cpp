@@ -129,62 +129,13 @@ TEST(ObsHistogram, PercentilesAreMonotonic) {
     histogram.record(value);
     value = value * 7 % 100000 + 1;
   }
-  const auto& h = registry.snapshot().histograms[0];
+  const auto snapshot = registry.snapshot();
+  const auto& h = snapshot.histograms[0];
   EXPECT_LE(h.percentile(0.50), h.percentile(0.95));
   EXPECT_LE(h.percentile(0.95), h.percentile(0.99));
 }
 
 // --- snapshot algebra --------------------------------------------------------
-
-obs::Snapshot make_snapshot(std::uint64_t counter_base,
-                            std::uint64_t histogram_seed) {
-  obs::Registry registry;
-  registry.counter("x").add(counter_base);
-  registry.counter("y." + std::to_string(counter_base % 3)).add(1);
-  auto& histogram = registry.histogram("lat_us");
-  std::uint64_t value = histogram_seed;
-  for (int i = 0; i < 50; ++i) {
-    histogram.record(value % 50000);
-    value = value * 31 + 7;
-  }
-  return registry.snapshot();
-}
-
-void expect_snapshots_equal(const obs::Snapshot& a, const obs::Snapshot& b) {
-  ASSERT_EQ(a.counters.size(), b.counters.size());
-  for (std::size_t i = 0; i < a.counters.size(); ++i) {
-    EXPECT_EQ(a.counters[i].name, b.counters[i].name);
-    EXPECT_EQ(a.counters[i].value, b.counters[i].value);
-  }
-  ASSERT_EQ(a.histograms.size(), b.histograms.size());
-  for (std::size_t i = 0; i < a.histograms.size(); ++i) {
-    EXPECT_EQ(a.histograms[i].name, b.histograms[i].name);
-    EXPECT_EQ(a.histograms[i].count, b.histograms[i].count);
-    EXPECT_EQ(a.histograms[i].sum, b.histograms[i].sum);
-    EXPECT_EQ(a.histograms[i].buckets, b.histograms[i].buckets);
-  }
-}
-
-TEST(ObsSnapshot, MergeIsAssociative) {
-  const auto a = make_snapshot(10, 3);
-  const auto b = make_snapshot(11, 17);
-  const auto c = make_snapshot(12, 101);
-
-  obs::Snapshot left = a;   // (a + b) + c
-  left.merge(b);
-  left.merge(c);
-  obs::Snapshot bc = b;     // a + (b + c)
-  bc.merge(c);
-  obs::Snapshot right = a;
-  right.merge(bc);
-  expect_snapshots_equal(left, right);
-
-  // And commutative.
-  obs::Snapshot swapped = b;
-  swapped.merge(a);
-  swapped.merge(c);
-  expect_snapshots_equal(left, swapped);
-}
 
 TEST(ObsSnapshot, SubtractRecoversIntervalDelta) {
   obs::Registry registry;

@@ -170,8 +170,6 @@ TEST(Simulator, InputValidation) {
   sim::Simulator sim(nl);
   EXPECT_THROW(sim.eval_single({true}), std::invalid_argument);
   EXPECT_THROW(sim.set_inputs_mixed({true}, 0), std::invalid_argument);
-  EXPECT_THROW(sim.set_input_net(nl.primary_outputs()[0], 0),
-               std::invalid_argument);
 }
 
 TEST(Simulator, BroadcastMatchesLanewiseRandom) {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "circuits/arith.hpp"
 #include "techlib/techlib.hpp"
 
 namespace {
@@ -41,24 +40,6 @@ TEST(TechLibrary, FanInScaling) {
 TEST(TechLibrary, DelayGrowsWithFanout) {
   const auto lib = techlib::TechLibrary::default_library();
   EXPECT_GT(lib.delay(CellType::kNand, 2, 8), lib.delay(CellType::kNand, 2, 1));
-}
-
-TEST(TechLibrary, GateOverloadsUseNetlist) {
-  const auto lib = techlib::TechLibrary::default_library();
-  const auto nl = circuits::make_adder(4);
-  double total = 0.0;
-  for (netlist::GateId g = 0; g < nl.gate_count(); ++g) {
-    total += lib.area(nl, g);
-  }
-  EXPECT_GT(total, 0.0);
-}
-
-TEST(TechLibrary, SetBaseCostOverrides) {
-  auto lib = techlib::TechLibrary::default_library();
-  techlib::CellCost cost{10.0, 5.0, 1.0, 100.0, 1.0};
-  lib.set_base_cost(CellType::kNand, cost);
-  EXPECT_DOUBLE_EQ(lib.area(CellType::kNand, 2), 10.0);
-  EXPECT_DOUBLE_EQ(lib.base_cost(CellType::kNand).switch_energy_fj, 5.0);
 }
 
 TEST(TechLibrary, RandCellHasEnergyCost) {

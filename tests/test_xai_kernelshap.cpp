@@ -5,8 +5,9 @@
 
 #include "ml/gbdt.hpp"
 #include "util/rng.hpp"
-#include "xai/kernelshap.hpp"
 #include "xai/treeshap.hpp"
+
+#include "kernelshap.hpp"
 
 namespace {
 
