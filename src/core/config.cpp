@@ -10,7 +10,6 @@
 #include "ml/decision_tree.hpp"
 #include "ml/forest.hpp"
 #include "ml/gbdt.hpp"
-#include "netlist/verilog.hpp"
 
 namespace polaris::core {
 
@@ -237,19 +236,32 @@ std::uint64_t config_fingerprint(const PolarisConfig& config) {
 }
 
 std::uint64_t design_fingerprint(const circuits::Design& design) {
-  std::uint64_t hash = 14695981039346656037ULL;  // FNV-1a 64
-  const auto mix = [&hash](const char* data, std::size_t size) {
-    for (std::size_t i = 0; i < size; ++i) {
-      hash = (hash ^ static_cast<std::uint8_t>(data[i])) * 1099511628211ULL;
-    }
+  // One pass, a word at a time: splitmix64's finalizer, then an FNV-1a
+  // step, so every input bit reaches every bit of the state. Nets are
+  // named by their driver gate: gate ids survive every construction path
+  // and the Verilog round trip, net ids do not.
+  std::uint64_t hash = 14695981039346656037ULL;
+  const auto mix = [&hash](std::uint64_t word) {
+    word = (word ^ (word >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    word = (word ^ (word >> 27)) * 0x94d049bb133111ebULL;
+    hash = (hash ^ word ^ (word >> 31)) * 1099511628211ULL;
   };
-  mix(design.name.data(), design.name.size());
-  hash = (hash ^ design.roles.size()) * 1099511628211ULL;
-  for (const auto role : design.roles) {
-    hash = (hash ^ static_cast<std::uint8_t>(role)) * 1099511628211ULL;
+  const netlist::Netlist& netlist = design.netlist;
+  const auto mix_nets = [&](const std::vector<netlist::NetId>& nets) {
+    mix(nets.size());
+    for (const auto net : nets) mix(netlist.net(net).driver);
+  };
+  mix(design.name.size());
+  for (const char c : design.name) mix(static_cast<std::uint8_t>(c));
+  mix(design.roles.size());
+  for (const auto role : design.roles) mix(static_cast<std::uint64_t>(role));
+  mix(netlist.gate_count());
+  for (const auto& gate : netlist.gates()) {
+    mix(static_cast<std::uint64_t>(gate.type) | std::uint64_t{gate.group} << 8);
+    mix_nets(gate.inputs);
   }
-  const std::string verilog = netlist::to_verilog(design.netlist);
-  mix(verilog.data(), verilog.size());
+  mix_nets(netlist.primary_inputs());
+  mix_nets(netlist.primary_outputs());
   return hash;
 }
 

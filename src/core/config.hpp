@@ -92,11 +92,19 @@ void write_config(serialize::Writer& out, const PolarisConfig& config);
 /// results, regardless of where or how parallel the run was.
 [[nodiscard]] std::uint64_t config_fingerprint(const PolarisConfig& config);
 
-/// FNV-1a hash over a design's content identity: name, input roles, and
-/// the canonical structural-Verilog serialization of the netlist. Together
-/// with config_fingerprint this keys the serve daemon's result cache -
-/// equal fingerprints guarantee byte-identical audit/mask/score results
-/// (every knob that can change a result is covered by one of the two).
+/// One-pass structural hash of a design: its name and input roles, each
+/// gate's cell type, masking group and fan-in, and the primary input and
+/// output lists. Fan-in and ports name each net by its DRIVER GATE id, not
+/// its net id: the Verilog parser renumbers nets but keeps gate ids, so a
+/// netlist_io or Verilog round trip keeps the value. Net and module names
+/// are not covered: no t-value or score reads them, and the one output
+/// that prints them (a served mask's Verilog) comes from a built-in
+/// generator whose names follow from its structure. Together with
+/// config_fingerprint this keys the serve daemon's result cache and a
+/// worker's installed designs - equal fingerprints guarantee byte-identical
+/// audit/mask/score results. The value is never persisted (bundles store
+/// only the config fingerprint), so it may change between builds; a
+/// worker from another build rejects a coordinator's designs at decode.
 [[nodiscard]] std::uint64_t design_fingerprint(const circuits::Design& design);
 
 /// Instantiates the configured classifier.

@@ -257,10 +257,11 @@ ScoreRequest decode_score_request(serialize::Reader& in) {
   return request;
 }
 
-std::vector<std::uint8_t> encode_design_request(const circuits::Design& design) {
+std::vector<std::uint8_t> encode_design_request(const circuits::Design& design,
+                                                std::uint64_t fingerprint) {
   auto out = request_header(RequestKind::kDesign);
   out.begin_chunk("DSGQ");
-  out.u64(core::design_fingerprint(design));
+  out.u64(fingerprint);
   out.str(design.name);
   out.u64(design.roles.size());
   for (const auto role : design.roles) {
@@ -269,6 +270,10 @@ std::vector<std::uint8_t> encode_design_request(const circuits::Design& design) 
   netlist::write_netlist(out, design.netlist);
   out.end_chunk();
   return finish_request(out);
+}
+
+std::vector<std::uint8_t> encode_design_request(const circuits::Design& design) {
+  return encode_design_request(design, core::design_fingerprint(design));
 }
 
 DesignRequest decode_design_request(serialize::Reader& in) {

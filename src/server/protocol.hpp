@@ -95,9 +95,10 @@ enum class Status : std::uint8_t {
   kBadRequest = 5,   // well-formed payload, invalid request (bad design...)
   kServerError = 6,  // request failed while executing
   kShuttingDown = 7, // server is draining; request not accepted
-  kUnknownDesign = 8, // kShard named a fingerprint this worker has not
-                      // seen; the coordinator answers by re-sending
-                      // kDesign and retrying the shard request
+  kUnknownDesign = 8, // kShard named a fingerprint this worker does not
+                      // hold (never sent, evicted, or lost in a restart);
+                      // the coordinator installs it with kDesign and
+                      // re-sends the shard request
 };
 
 [[nodiscard]] const char* to_string(Status status);
@@ -323,8 +324,12 @@ struct ShardReply {
     const AuditRequest& request);
 [[nodiscard]] std::vector<std::uint8_t> encode_mask_request(const MaskRequest& request);
 [[nodiscard]] std::vector<std::uint8_t> encode_score_request(const ScoreRequest& request);
-/// Design install; the fingerprint is computed from `design` internally so
-/// sender and receiver can never disagree on the key derivation.
+/// Design install under `fingerprint`, which must be
+/// core::design_fingerprint(design): a coordinator computes it once per
+/// design and audit, and the worker's decode re-derives it and rejects a
+/// mismatch. The one-argument form computes it here.
+[[nodiscard]] std::vector<std::uint8_t> encode_design_request(
+    const circuits::Design& design, std::uint64_t fingerprint);
 [[nodiscard]] std::vector<std::uint8_t> encode_design_request(
     const circuits::Design& design);
 [[nodiscard]] std::vector<std::uint8_t> encode_shard_request(

@@ -3,10 +3,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <deque>
 #include <future>
-#include <set>
 #include <thread>
 
 #include "obs/obs.hpp"
@@ -97,6 +97,7 @@ WorkerPool::Totals WorkerPool::totals() const {
   for (const auto& slot : workers_) {
     totals.shards_out += slot->shards_done.load() + slot->inflight.load();
     totals.moments_in += slot->shards_done.load();
+    totals.bytes_out += slot->bytes_out.load();
     totals.bytes += slot->bytes_out.load() + slot->bytes_in.load();
     totals.resends += slot->resends.load();
   }
@@ -143,12 +144,14 @@ std::vector<tvla::LeakageReport> WorkerPool::audit(
 
 void WorkerPool::feed_worker(WorkerSlot& slot, Audit& audit) {
   struct Pending {
-    bool is_chunk = false;
-    engine::Scheduler::Claim claim;  // valid when is_chunk
+    engine::Scheduler::Claim claim;  // the chunk (an install: the chunk
+                                     // whose miss sent it)
+    bool install = false;            // a design-install ack is owed
+    bool retry = false;              // chunk re-sent after a miss; a
+                                     // second miss fails like any error
     std::size_t bytes = 0;           // request payload size (admission)
   };
   std::deque<Pending> outstanding;
-  std::set<std::size_t> installed;  // designs installed on this connection
   std::size_t inflight_bytes = 0;
   int fd = -1;
 
@@ -164,6 +167,23 @@ void WorkerPool::feed_worker(WorkerSlot& slot, Audit& audit) {
     resends_counter().add(shards);
     audit.scheduler.release(claim);
   };
+  const auto send = [&](const std::vector<std::uint8_t>& frame) {
+    write_frame(fd, frame, probe);
+    slot.bytes_out.fetch_add(frame.size());
+    bytes_counter().add(frame.size());
+  };
+  const auto send_chunk = [&](const engine::Scheduler::Claim& claim,
+                              bool retry) {
+    ShardRequest request;
+    request.fingerprint = audit.fingerprints[claim.sequence];
+    request.config = audit.config;
+    request.shard_begin = claim.begin;
+    request.shard_end = claim.end;
+    const auto frame = encode_shard_request(request);
+    send(frame);
+    inflight_bytes += frame.size();
+    outstanding.push_back(Pending{claim, false, retry, frame.size()});
+  };
 
   try {
     fd = net::connect_endpoint(slot.endpoint);
@@ -178,43 +198,23 @@ void WorkerPool::feed_worker(WorkerSlot& slot, Audit& audit) {
       // more than kMaxInflightBytes of unanswered request payload - a slow
       // worker's queue stays bounded.
       std::size_t chunks_out = 0;
-      for (const auto& pending : outstanding) chunks_out += pending.is_chunk;
+      for (const auto& pending : outstanding) chunks_out += !pending.install;
       while (chunks_out < kPipelineDepth && inflight_bytes < kMaxInflightBytes) {
         const auto claim = audit.scheduler.claim(kShardsPerChunk);
         if (!claim) break;
-        const std::size_t design = claim->sequence;
-        const std::size_t shards = claim->end - claim->begin;
         deadline = std::chrono::steady_clock::now() + kRoundtripTimeout;
         // Until the Pending lands in `outstanding`, the outer handler
         // cannot see the claim: if a send fails here (torn connection,
         // deadline firing mid-EAGAIN), give it back before withdrawing,
         // or drain() would wait for it forever.
         try {
-          if (installed.find(design) == installed.end()) {
-            const auto install = encode_design_request(audit.designs[design]);
-            write_frame(fd, install, probe);
-            slot.bytes_out.fetch_add(install.size());
-            bytes_counter().add(install.size());
-            outstanding.push_back(Pending{});
-            installed.insert(design);
-          }
-          ShardRequest request;
-          request.fingerprint = audit.fingerprints[design];
-          request.config = audit.config;
-          request.shard_begin = claim->begin;
-          request.shard_end = claim->end;
-          const auto frame = encode_shard_request(request);
-          write_frame(fd, frame, probe);
-          slot.bytes_out.fetch_add(frame.size());
-          bytes_counter().add(frame.size());
-          shards_out_counter().add(shards);
-          inflight_bytes += frame.size();
-          outstanding.push_back(Pending{true, *claim, frame.size()});
+          send_chunk(*claim, false);
         } catch (...) {
           give_back(*claim);
           throw;
         }
-        slot.inflight.fetch_add(shards);
+        slot.inflight.fetch_add(claim->end - claim->begin);
+        shards_out_counter().add(claim->end - claim->begin);
         ++chunks_out;
       }
       // Nothing owed and nothing left to claim: this feeder is done. A
@@ -236,7 +236,7 @@ void WorkerPool::feed_worker(WorkerSlot& slot, Audit& audit) {
       outstanding.pop_front();
       slot.bytes_in.fetch_add(reply_bytes);
       bytes_counter().add(reply_bytes);
-      if (!pending.is_chunk) {  // design-install ack
+      if (pending.install) {
         if (response.status != Status::kOk) {
           throw std::runtime_error("polaris net: worker '" + slot.display +
                                    "' rejected design install: " +
@@ -247,14 +247,32 @@ void WorkerPool::feed_worker(WorkerSlot& slot, Audit& audit) {
       const auto& claim = pending.claim;
       const std::size_t shards = claim.end - claim.begin;
       inflight_bytes -= pending.bytes;
-      slot.inflight.fetch_sub(shards);
-      if (response.status == Status::kUnknownDesign) {
-        // Worker restarted between install and shard request: force a
-        // re-install on the next send and give the chunk back.
-        installed.erase(claim.sequence);
-        give_back(claim);
+      if (response.status == Status::kUnknownDesign && !pending.retry) {
+        // Install on miss: the worker lacks the design (first use,
+        // eviction or restart). Ship it, unless an install sent after this
+        // request is still owed - the worker serves frames in order, so
+        // that one lands first - and re-send the chunk behind it.
+        deadline = std::chrono::steady_clock::now() + kRoundtripTimeout;
+        try {
+          if (std::none_of(outstanding.begin(), outstanding.end(),
+                           [&](const Pending& p) {
+                             return p.install &&
+                                    p.claim.sequence == claim.sequence;
+                           })) {
+            const std::size_t design = claim.sequence;
+            send(encode_design_request(audit.designs[design],
+                                       audit.fingerprints[design]));
+            outstanding.push_back(Pending{claim, true, false, 0});
+          }
+          send_chunk(claim, true);
+        } catch (...) {
+          slot.inflight.fetch_sub(shards);
+          give_back(claim);
+          throw;
+        }
         continue;
       }
+      slot.inflight.fetch_sub(shards);
       // The chunk left `outstanding` above, so from here until its shards
       // are deposited, a throw would strand the claim - drain() would
       // never return. Validate the WHOLE reply first, deposit only after,
@@ -302,7 +320,7 @@ void WorkerPool::feed_worker(WorkerSlot& slot, Audit& audit) {
     // harmless, re-running a shard yields the same bits and only one copy
     // is ever deposited (nothing was deposited here).
     for (const auto& pending : outstanding) {
-      if (!pending.is_chunk) continue;
+      if (pending.install) continue;
       slot.inflight.fetch_sub(pending.claim.end - pending.claim.begin);
       give_back(pending.claim);
     }

@@ -8,7 +8,10 @@
 // kShardsPerChunk consecutive shards of one campaign from that scheduler's
 // queue, in LPT order, ships them, validates the reply, and deposits each
 // shard's moments into the campaign's ascending incremental merge - the
-// one a local shard feeds, early-stop checkpoints included. A shard's
+// one a local shard feeds, early-stop checkpoints included. Designs ship
+// on a miss: a worker that lacks one answers kUnknownDesign, and the
+// feeder installs it and re-sends the chunk, so a long-lived worker
+// receives each design once, not once per audit. A shard's
 // moments are a pure function of (design, config, shard index), so audit
 // output is byte-identical to a single-host run at ANY worker count,
 // including zero and including workers dying mid-campaign. Once a
@@ -75,6 +78,7 @@ class WorkerPool {
     std::uint64_t shards_out = 0;   // shards answered plus still in flight
     std::uint64_t moments_in = 0;   // shard moment blocks received back
     std::uint64_t bytes = 0;        // payload bytes, both directions
+    std::uint64_t bytes_out = 0;    // of which requests: installs + shards
     std::uint64_t resends = 0;      // shards requeued after worker loss
   };
   [[nodiscard]] Totals totals() const;

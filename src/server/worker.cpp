@@ -9,7 +9,7 @@
 #include <cstring>
 #include <optional>
 
-#include "core/result_cache.hpp"
+#include "core/config.hpp"
 #include "obs/obs.hpp"
 
 namespace polaris::server {
@@ -20,6 +20,14 @@ namespace {
 // socket bounds how long a stalled peer can pin a handler across a drain.
 constexpr int kHandlerPollMs = 100;
 constexpr int kAcceptPollMs = 500;
+
+/// Installed-design cache: a fixed byte budget over a per-gate estimate.
+/// On the 11 evaluation designs at scale 1.0 an installed netlist with its
+/// net names takes 85-270 B per gate, its compiled plan 25-45 B and its
+/// runner (power model and sampling plan) 33-46 B. The budget holds the
+/// whole suite (about 102k gates) with room to spare.
+constexpr std::size_t kBytesPerGate = 320 + 48;
+constexpr std::size_t kCacheBudgetBytes = std::size_t{64} << 20;
 
 }  // namespace
 
@@ -213,50 +221,71 @@ std::vector<std::uint8_t> Worker::serve_ping() {
   return encode_ping_reply(reply);
 }
 
+std::shared_ptr<Worker::Installed> Worker::find_design(
+    std::uint64_t fingerprint) {
+  const auto it = designs_.find(fingerprint);
+  if (it == designs_.end()) return nullptr;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  return *it->second;
+}
+
 std::vector<std::uint8_t> Worker::serve_design(serialize::Reader& in) {
   DesignRequest request = decode_design_request(in);
   static auto& installed =
       obs::Registry::global().counter("worker.designs_installed");
-  {
-    const std::lock_guard<std::mutex> lock(designs_mutex_);
-    if (designs_.find(request.fingerprint) == designs_.end()) {
-      designs_.emplace(request.fingerprint,
-                       std::make_unique<circuits::Design>(
-                           std::move(request.design)));
-      installed.add();
-    }
+  static auto& evicted =
+      obs::Registry::global().counter("worker.designs_evicted");
+  // Held while compiling, like every cache fill here: compiling twice
+  // concurrently would be wasted work, and it happens once per design.
+  const std::lock_guard<std::mutex> lock(designs_mutex_);
+  if (find_design(request.fingerprint) != nullptr) return {};
+  auto entry = std::make_shared<Installed>();
+  entry->fingerprint = request.fingerprint;
+  entry->bytes = request.design.netlist.gate_count() * kBytesPerGate;
+  entry->design = std::move(request.design);
+  entry->compiled = sim::compile(entry->design.netlist);
+  lru_.push_front(entry);
+  designs_.emplace(entry->fingerprint, lru_.begin());
+  resident_bytes_ += entry->bytes;
+  installed.add();
+  // Least recently used out first; the new design always stays, even
+  // alone over the budget. A shard run in flight keeps its entry alive.
+  while (resident_bytes_ > kCacheBudgetBytes && lru_.size() > 1) {
+    resident_bytes_ -= lru_.back()->bytes;
+    designs_.erase(lru_.back()->fingerprint);
+    lru_.pop_back();
+    evicted.add();
   }
   return {};  // empty-body kOk ack
 }
 
-std::shared_ptr<tvla::ShardRunner> Worker::runner_for(
-    const ShardRequest& request) {
-  const std::uint64_t key = core::ResultCache::combine(
-      core::config_fingerprint(request.config), request.fingerprint);
+Worker::Campaign Worker::campaign_for(const ShardRequest& request) {
+  const std::uint64_t config_fp = core::config_fingerprint(request.config);
   const std::lock_guard<std::mutex> lock(designs_mutex_);
-  if (const auto it = runners_.find(key); it != runners_.end()) {
-    return it->second;
-  }
-  const auto design = designs_.find(request.fingerprint);
-  if (design == designs_.end()) {
+  Campaign campaign{find_design(request.fingerprint), nullptr};
+  if (campaign.design == nullptr) {
     throw ServerError(Status::kUnknownDesign,
                       "polaris worker: no installed design with fingerprint " +
                           std::to_string(request.fingerprint));
   }
-  // Compile once per (config, design): this is the whole point of the
-  // worker-local plan cache - later shard requests skip straight to
-  // simulation. Held under the mutex: compiling twice concurrently would
-  // be wasted work, and compilation is short next to a shard run.
-  auto runner = std::make_shared<tvla::ShardRunner>(
-      design->second->netlist, lib_,
-      core::tvla_config_for(request.config, *design->second));
-  runners_.emplace(key, runner);
-  return runner;
+  auto& slot = campaign.design->runner;
+  if (slot.second == nullptr || slot.first != config_fp) {
+    // A new campaign on an installed design: a power model and sampling
+    // plan over the plan compiled at install. It replaces the previous
+    // campaign's runner; a shard run still using that one holds it.
+    slot = {config_fp, std::make_shared<tvla::ShardRunner>(
+                           campaign.design->compiled, lib_,
+                           core::tvla_config_for(request.config,
+                                                 campaign.design->design))};
+  }
+  campaign.runner = slot.second;
+  return campaign;
 }
 
 std::vector<std::uint8_t> Worker::serve_shards(serialize::Reader& in) {
   const ShardRequest request = decode_shard_request(in);
-  const auto runner = runner_for(request);
+  const Campaign campaign = campaign_for(request);
+  const auto& runner = campaign.runner;
   if (request.shard_end > runner->shard_count()) {
     throw ServerError(Status::kBadRequest,
                       "polaris worker: shard range [" +

@@ -4,13 +4,17 @@
 // A worker is the serve daemon's little sibling: the same accept loop,
 // handler threads, frame codec, and graceful drain, but no bundle, no
 // result cache, and only four request kinds (ping / design / shard /
-// shutdown). A coordinator first installs each design ONCE with kDesign
-// (netlist + input roles under the content fingerprint); the worker
-// compiles it into a tvla::ShardRunner it caches per (config, design)
-// fingerprint pair, so every later kShard for the same campaign reuses
-// the compiled plan. Shard requests carry only the fingerprint, the
-// canonical config, and a shard range - a few hundred bytes - and the
-// reply ships the per-shard UNMERGED moment blocks back as an archive.
+// shutdown). A shard request names its design by content fingerprint; a
+// worker that does not hold it answers kUnknownDesign, and the coordinator
+// installs it with kDesign (netlist + input roles) and re-sends. The worker
+// compiles each installed design once and keeps the tvla::ShardRunner of
+// its latest campaign, so later shard requests for that campaign reuse the
+// plan. Installed designs and their runners live in one
+// LRU cache under a fixed byte budget; an evicted design is simply
+// installed again on its next miss. Shard requests carry only the
+// fingerprint, the canonical config, and a shard range - a few hundred
+// bytes - and the reply ships the per-shard UNMERGED moment blocks back as
+// an archive.
 //
 // Determinism: per-shard moments are a pure function of (design, config,
 // shard index) - stimulus streams are counter-keyed per batch and blocks
@@ -20,6 +24,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -29,6 +34,7 @@
 
 #include "server/net.hpp"
 #include "server/protocol.hpp"
+#include "sim/compiled.hpp"
 #include "techlib/techlib.hpp"
 
 namespace polaris::server {
@@ -87,21 +93,42 @@ class Worker {
   std::vector<std::uint8_t> serve_design(serialize::Reader& in);
   std::vector<std::uint8_t> serve_shards(serialize::Reader& in);
 
-  /// The compiled-plan cache entry for one (config, design) pair.
-  std::shared_ptr<tvla::ShardRunner> runner_for(const ShardRequest& request);
+  /// One installed design: its compiled plan and the runner of its most
+  /// recent campaign. Within one audit every shard request for a design
+  /// carries the same config; a new config replaces the runner.
+  /// Heap-owned and shared: a shard run holds its entry, so an eviction
+  /// never frees a netlist that a runner reads.
+  struct Installed {
+    std::uint64_t fingerprint = 0;
+    std::size_t bytes = 0;  // resident-size estimate charged to the budget
+    circuits::Design design;
+    sim::CompiledDesignPtr compiled;
+    std::pair<std::uint64_t, std::shared_ptr<tvla::ShardRunner>>
+        runner;  // (config fingerprint, runner), guarded by designs_mutex_
+  };
+  struct Campaign {
+    std::shared_ptr<Installed> design;  // keeps the runner's netlist alive
+    std::shared_ptr<tvla::ShardRunner> runner;
+  };
+
+  /// The runner for the request's (config, design) pair, built from the
+  /// installed plan on first use. Throws kUnknownDesign when the design is
+  /// not installed.
+  Campaign campaign_for(const ShardRequest& request);
+  /// Looks up an installed design and marks it most recently used. Caller
+  /// holds designs_mutex_.
+  std::shared_ptr<Installed> find_design(std::uint64_t fingerprint);
 
   WorkerOptions options_;
   net::Endpoint endpoint_;
   techlib::TechLibrary lib_ = techlib::TechLibrary::default_library();
 
-  /// Installed designs, heap-owned: ShardRunner keeps references into the
-  /// netlist, so the Design objects must have stable addresses for the
-  /// worker's lifetime (they are never evicted - a worker serves one
-  /// coordinator's suite, a bounded set).
   std::mutex designs_mutex_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<circuits::Design>> designs_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<tvla::ShardRunner>>
-      runners_;  // keyed by combine(config_fp, design_fp)
+  std::list<std::shared_ptr<Installed>> lru_;  // most recently used first
+  std::unordered_map<std::uint64_t,
+                     std::list<std::shared_ptr<Installed>>::iterator>
+      designs_;  // by design fingerprint, into lru_
+  std::size_t resident_bytes_ = 0;  // sum of lru_ entries' bytes
 
   int listen_fd_ = -1;
   int wake_read_fd_ = -1;

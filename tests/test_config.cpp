@@ -1,14 +1,21 @@
 // PolarisConfig validation (one actionable error per bad knob, enforced at
-// Polaris construction and by the CLI), name parsing, serialization, and
-// the host-independent config fingerprint.
+// Polaris construction and by the CLI), name parsing, serialization, the
+// host-independent config fingerprint, and the structural design
+// fingerprint.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
+#include "circuits/suite.hpp"
 #include "core/config.hpp"
 #include "core/polaris.hpp"
+#include "masking/masking.hpp"
+#include "netlist/netlist_io.hpp"
+#include "netlist/verilog.hpp"
 #include "serialize/archive.hpp"
 
 namespace {
@@ -331,6 +338,105 @@ TEST(ConfigFingerprint, StableAndThreadInvariant) {
   // Any result-relevant knob must.
   b.theta_r = 0.71;
   EXPECT_NE(core::config_fingerprint(a), core::config_fingerprint(b));
+}
+
+// --- design fingerprint --------------------------------------------------------
+
+/// `design` with its netlist replaced by `netlist`, name and roles kept.
+circuits::Design with_netlist(const circuits::Design& design,
+                              netlist::Netlist netlist) {
+  return circuits::Design{design.name, std::move(netlist), design.roles};
+}
+
+circuits::Design verilog_round_trip(const circuits::Design& design) {
+  return with_netlist(design,
+                      netlist::from_verilog(netlist::to_verilog(design.netlist)));
+}
+
+/// square with its first 60 gates requested for masking: the masked
+/// composites carry group ids that no Verilog text can express.
+circuits::Design masked_square() {
+  const auto square = circuits::load_design("square", 0.4);
+  std::vector<netlist::GateId> targets(60);
+  for (netlist::GateId g = 0; g < targets.size(); ++g) targets[g] = g;
+  auto masked = masking::apply_masking(square.netlist, targets);
+  EXPECT_GT(masked.masked_gates, 0u);
+  return with_netlist(square, std::move(masked.design));
+}
+
+TEST(DesignFingerprint, NetlistIoRoundTripKeepsItOnAMaskedDesign) {
+  // The NETL codec carries groups (an unmasked design's round trip is
+  // DistributedCodec.NetlistRoundTripPreservesDesignFingerprint).
+  const auto design = masked_square();
+  serialize::Writer out;
+  netlist::write_netlist(out, design.netlist);
+  serialize::Reader in(out.finish());
+  EXPECT_EQ(core::design_fingerprint(
+                with_netlist(design, netlist::read_netlist(in))),
+            core::design_fingerprint(design));
+}
+
+TEST(DesignFingerprint, VerilogRoundTripKeepsItOnEverySuiteDesign) {
+  // The parser renumbers nets but keeps gate ids; fan-in is named by
+  // driver gate, so the value survives.
+  for (const auto& name : circuits::evaluation_names()) {
+    const auto design = circuits::load_design(name, 1.0);
+    EXPECT_EQ(core::design_fingerprint(verilog_round_trip(design)),
+              core::design_fingerprint(design))
+        << name;
+  }
+}
+
+TEST(DesignFingerprint, MaskingGroupsAreCovered) {
+  // Verilog drops Gate::group: a masked netlist and its Verilog round trip
+  // audit differently (the groups are the report's rows), so they must
+  // not share a result-cache key or a worker's installed design.
+  const auto masked = masked_square();
+  EXPECT_NE(core::design_fingerprint(verilog_round_trip(masked)),
+            core::design_fingerprint(masked));
+
+  auto regrouped = masked;
+  auto& gate = regrouped.netlist.gate(
+      static_cast<netlist::GateId>(regrouped.netlist.gate_count() - 1));
+  gate.group = gate.group == 0 ? 1 : 0;
+  EXPECT_NE(core::design_fingerprint(regrouped),
+            core::design_fingerprint(masked));
+}
+
+TEST(DesignFingerprint, EachStructuralEditChangesIt) {
+  const auto base = circuits::load_design("square", 0.4);
+  const std::uint64_t fingerprint = core::design_fingerprint(base);
+  EXPECT_EQ(core::design_fingerprint(base), fingerprint);  // deterministic
+
+  // The first gate with two fan-ins from different drivers.
+  const auto& gates = base.netlist.gates();
+  const auto two_input = std::find_if(gates.begin(), gates.end(), [&](const auto& g) {
+    return g.type == netlist::CellType::kAnd && g.inputs.size() == 2 &&
+           base.netlist.net(g.inputs[0]).driver !=
+               base.netlist.net(g.inputs[1]).driver;
+  });
+  ASSERT_NE(two_input, gates.end());
+  const auto id = static_cast<netlist::GateId>(two_input - gates.begin());
+
+  auto retyped = base;
+  retyped.netlist.gate(id).type = netlist::CellType::kOr;
+  EXPECT_NE(core::design_fingerprint(retyped), fingerprint);
+
+  auto swapped = base;
+  auto& inputs = swapped.netlist.gate(id).inputs;
+  std::swap(inputs[0], inputs[1]);
+  EXPECT_NE(core::design_fingerprint(swapped), fingerprint);
+
+  ASSERT_FALSE(base.roles.empty());
+  auto reroled = base;
+  reroled.roles[0] = reroled.roles[0] == circuits::InputRole::kKey
+                         ? circuits::InputRole::kData
+                         : circuits::InputRole::kKey;
+  EXPECT_NE(core::design_fingerprint(reroled), fingerprint);
+
+  auto renamed = base;
+  renamed.name += "_copy";
+  EXPECT_NE(core::design_fingerprint(renamed), fingerprint);
 }
 
 }  // namespace

@@ -9,10 +9,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -206,6 +209,13 @@ TEST(DistributedCodec, DesignRequestRoundTripsAndVerifiesFingerprint) {
   EXPECT_EQ(back.design.name, design.name);
   EXPECT_EQ(back.design.roles, design.roles);
   EXPECT_EQ(back.design.netlist.gate_count(), design.netlist.gate_count());
+
+  // The worker re-derives the fingerprint: a design advertised under any
+  // other value (corruption, or a coordinator from another build) fails.
+  serialize::Reader wrong(server::encode_design_request(
+      design, core::design_fingerprint(design) ^ 1));
+  (void)server::decode_request_kind(wrong);
+  EXPECT_THROW((void)server::decode_design_request(wrong), std::runtime_error);
 }
 
 TEST(DistributedCodec, ShardRequestRoundTripsAndRejectsEmptyRanges) {
@@ -451,6 +461,213 @@ TEST(DistributedAudit, HealthAndTotalsTrackTheFleet) {
   }
 }
 
+// --- install on miss -----------------------------------------------------------
+
+std::uint64_t designs_installed() {
+  return obs::Registry::global().counter("worker.designs_installed").value();
+}
+
+/// 64 shards per campaign: a feeder claims its first chunks on connect,
+/// long before one local lane could run them all.
+core::PolarisConfig install_config(std::uint64_t seed) {
+  auto config = audit_config();
+  config.tvla.traces = 65536;
+  config.seed = seed;
+  config.tvla.seed = seed;
+  return config;
+}
+
+std::vector<circuits::Design> install_designs() {
+  std::vector<circuits::Design> designs;
+  designs.push_back(circuits::load_design("des3", 0.3));
+  designs.push_back(circuits::load_design("square", 1.0));
+  return designs;
+}
+
+std::vector<tvla::LeakageReport> audit_through(
+    const std::string& endpoints, std::span<const circuits::Design> designs,
+    const core::PolarisConfig& config) {
+  server::WorkerPoolOptions options;
+  options.workers = endpoints;
+  options.local_threads = 1;
+  server::WorkerPool pool(options);
+  return pool.audit(designs, lib(), config);
+}
+
+void expect_audit_matches_single_host(
+    const std::vector<tvla::LeakageReport>& reports,
+    std::span<const circuits::Design> designs,
+    const core::PolarisConfig& config) {
+  const auto expected = core::audit_designs(designs, lib(), config);
+  ASSERT_EQ(reports.size(), expected.size());
+  for (std::size_t d = 0; d < expected.size(); ++d) {
+    expect_reports_bit_identical(reports[d], expected[d]);
+  }
+}
+
+/// A raw request/reply connection that drives one worker directly.
+class RawConnection {
+ public:
+  explicit RawConnection(const server::net::Endpoint& endpoint)
+      : fd_(server::net::connect_endpoint(endpoint)) {}
+  ~RawConnection() { ::close(fd_); }
+  RawConnection(const RawConnection&) = delete;
+  RawConnection& operator=(const RawConnection&) = delete;
+
+  server::Status roundtrip(const std::vector<std::uint8_t>& request) {
+    server::write_frame(fd_, request);
+    std::vector<std::uint8_t> payload;
+    EXPECT_EQ(server::read_frame(fd_, server::kDefaultMaxFrame, payload),
+              server::FrameResult::kFrame);
+    return server::decode_response(std::move(payload)).status;
+  }
+
+  /// Runs shard 0 of `design`: kOk when the worker holds the design,
+  /// kUnknownDesign when it does not.
+  server::Status probe(const circuits::Design& design,
+                       const core::PolarisConfig& config) {
+    server::ShardRequest request;
+    request.fingerprint = core::design_fingerprint(design);
+    request.config = config;
+    request.shard_begin = 0;
+    request.shard_end = 1;
+    return roundtrip(server::encode_shard_request(request));
+  }
+
+ private:
+  int fd_;
+};
+
+/// Request bytes of one design's install frame.
+std::size_t install_bytes(const circuits::Design& design) {
+  return server::encode_design_request(design).size();
+}
+
+std::size_t smallest_install_bytes(std::span<const circuits::Design> designs) {
+  std::size_t smallest = SIZE_MAX;
+  for (const auto& design : designs) {
+    smallest = std::min(smallest, install_bytes(design));
+  }
+  return smallest;
+}
+
+TEST(DistributedInstall, EachDesignShipsOnceAcrossAuditsAndPools) {
+  // Three audits at different seeds, each through its own WorkerPool.
+  // Which designs the first audit ships depends on who claims which
+  // shards, so afterwards any design it did not ship is installed
+  // directly. From then on the worker holds every design, and a later
+  // audit that runs shards remotely sends shard requests only: fewer
+  // request bytes than one install of the smallest design.
+  const auto designs = install_designs();
+  const std::size_t smallest_install = smallest_install_bytes(designs);
+  Fleet fleet(1);
+  const std::uint64_t before = designs_installed();
+  expect_audit_matches_single_host(
+      audit_through(fleet.endpoints, designs, install_config(7)), designs,
+      install_config(7));
+  {
+    RawConnection worker(fleet.workers[0]->endpoint());
+    for (const auto& design : designs) {
+      ASSERT_EQ(worker.roundtrip(server::encode_design_request(design)),
+                server::Status::kOk);
+    }
+  }
+  const std::uint64_t installed = designs_installed();
+  EXPECT_EQ(installed - before, designs.size());
+
+  server::WorkerPoolOptions options;
+  options.workers = fleet.endpoints;
+  options.local_threads = 1;
+  for (const std::uint64_t seed : {8u, 9u}) {
+    const auto config = install_config(seed);
+    server::WorkerPool pool(options);
+    const std::uint64_t shards_before = fleet.workers[0]->shards_run();
+    expect_audit_matches_single_host(pool.audit(designs, lib(), config),
+                                     designs, config);
+    EXPECT_GT(fleet.workers[0]->shards_run(), shards_before);
+    EXPECT_LT(pool.totals().bytes_out, smallest_install);
+  }
+  EXPECT_EQ(designs_installed(), installed);
+}
+
+TEST(DistributedInstall, WorkerRestartReinstallsAndStaysByteIdentical) {
+  const auto designs = install_designs();
+  const auto config = install_config(7);
+  Fleet fleet(1);
+  server::WorkerPoolOptions options;
+  options.workers = fleet.endpoints;
+  options.local_threads = 1;
+  server::WorkerPool pool(options);
+  (void)pool.audit(designs, lib(), config);
+
+  // Same endpoint, fresh process state: every design is unknown again.
+  fleet.workers[0]->request_stop();
+  fleet.workers[0]->wait();
+  server::WorkerOptions restart;
+  restart.listen = fleet.endpoints;
+  restart.threads = 1;
+  fleet.workers[0] = std::make_unique<server::Worker>(restart);
+  fleet.workers[0]->start();
+
+  const std::uint64_t before = designs_installed();
+  const std::uint64_t bytes_before = pool.totals().bytes_out;
+  const auto reports = pool.audit(designs, lib(), config);
+  expect_audit_matches_single_host(reports, designs, config);
+  EXPECT_GT(fleet.workers[0]->shards_run(), 0u);
+  const std::uint64_t bytes_out = pool.totals().bytes_out - bytes_before;
+
+  // Each design the restarted worker holds was shipped once: one install
+  // frame each, plus shard requests that together weigh less than one
+  // more install of the smallest design (see the test above). Pipelined
+  // chunks that miss together must not ship their design twice.
+  RawConnection worker(fleet.workers[0]->endpoint());
+  std::size_t held = 0;
+  std::size_t held_install_bytes = 0;
+  for (const auto& design : designs) {
+    if (worker.probe(design, config) != server::Status::kOk) continue;
+    ++held;
+    held_install_bytes += install_bytes(design);
+  }
+  EXPECT_GE(held, 1u);
+  EXPECT_EQ(designs_installed() - before, held);
+  EXPECT_GE(bytes_out, held_install_bytes);
+  EXPECT_LT(bytes_out, held_install_bytes + smallest_install_bytes(designs));
+}
+
+TEST(DistributedInstall, EvictedDesignIsReinstalledAndStaysByteIdentical) {
+  std::vector<circuits::Design> designs;
+  designs.push_back(circuits::load_design("square", 1.0));
+  const auto config = install_config(7);
+  Fleet fleet(1);
+  const std::uint64_t before = designs_installed();
+  expect_audit_matches_single_host(
+      audit_through(fleet.endpoints, designs, config), designs, config);
+  ASSERT_EQ(designs_installed() - before, 1u);
+
+  // Fill the worker's cache with renamed copies of a large design until
+  // it evicts its least recently used entry: square.
+  auto& evicted = obs::Registry::global().counter("worker.designs_evicted");
+  const std::uint64_t evicted_before = evicted.value();
+  {
+    RawConnection worker(fleet.workers[0]->endpoint());
+    auto filler = circuits::load_design("md5", 1.0);
+    const std::string base = filler.name;
+    for (int copy = 0; copy < 64 && evicted.value() == evicted_before;
+         ++copy) {
+      filler.name = base + "_" + std::to_string(copy);
+      ASSERT_EQ(worker.roundtrip(server::encode_design_request(filler)),
+                server::Status::kOk);
+    }
+    ASSERT_GT(evicted.value(), evicted_before);
+    EXPECT_EQ(worker.probe(designs[0], config), server::Status::kUnknownDesign);
+  }
+
+  const std::uint64_t refilled = designs_installed();
+  expect_audit_matches_single_host(
+      audit_through(fleet.endpoints, designs, config), designs, config);
+  EXPECT_EQ(designs_installed() - refilled, 1u);
+}
+
 TEST(DistributedAudit, DuplicateShardIndexInReplyIsRejectedNotMerged) {
   // A protocol-correct but buggy worker answers a shard request with the
   // right count but one in-range index duplicated. Each entry must be
@@ -487,6 +704,11 @@ TEST(DistributedAudit, DuplicateShardIndexInReplyIsRejectedNotMerged) {
         if (kind == server::RequestKind::kDesign) {
           installed = server::decode_design_request(in).design;
           response = server::encode_response(server::Status::kOk, "", false, {});
+        } else if (!installed) {
+          // Like a real worker: a shard request before any install misses,
+          // and the coordinator installs on that answer.
+          response = server::encode_response(server::Status::kUnknownDesign,
+                                             "", false, {});
         } else {
           const auto request = server::decode_shard_request(in);
           tvla::ShardRunner runner(

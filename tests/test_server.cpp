@@ -1007,7 +1007,9 @@ TEST_F(ServerTest, StatusReportsInflightCampaignsAndFlightRecorder) {
       poll.stats().snapshot.counter_value("cache.hits");
 
   core::PolarisConfig config = audit_config();
-  config.tvla.traces = 4096;  // long enough to observe mid-flight
+  // Long enough to observe mid-flight: on a loaded host a short request
+  // can finish before the first status poll is served.
+  config.tvla.traces = 32768;
   server::AuditRequest request;
   request.design = "des3";
   request.scale = 0.3;

@@ -70,11 +70,12 @@ int cmd_audit(std::span<const char* const> args) {
     std::fprintf(stderr,
                  "polaris audit: distributed over %zu workers "
                  "(shards_out=%llu, moments_in=%llu, bytes=%llu, "
-                 "resends=%llu)\n",
+                 "bytes_out=%llu, resends=%llu)\n",
                  pool.worker_count(),
                  static_cast<unsigned long long>(totals.shards_out),
                  static_cast<unsigned long long>(totals.moments_in),
                  static_cast<unsigned long long>(totals.bytes),
+                 static_cast<unsigned long long>(totals.bytes_out),
                  static_cast<unsigned long long>(totals.resends));
   }
   const std::size_t top = flags.get_size("top", 10);
