@@ -131,14 +131,14 @@ int main() {
                          {1, true, 1}, seed_base);
     }
     // Daemon-side latency comes from the server's own request histogram:
-    // stats snapshots before/after the scenario, interval delta via
+    // registry snapshots before/after the scenario, interval delta via
     // HistogramSnapshot::subtract. The snapshots travel over the real
-    // socket (the `stats` request), exactly as an external monitor's would.
+    // socket (the `status` request), exactly as an external monitor's would.
     server::Client stats_client(daemon.socket_path());
-    const obs::Snapshot stats_before = stats_client.stats().snapshot;
+    const obs::Snapshot stats_before = stats_client.status().snapshot;
     auto measurement = run_scenario(daemon.socket_path(), audit_config,
                                     scenario, seed_base);
-    const obs::Snapshot stats_after = stats_client.stats().snapshot;
+    const obs::Snapshot stats_after = stats_client.status().snapshot;
     double daemon_p50_ms = 0.0;
     double daemon_p95_ms = 0.0;
     if (const auto* after = stats_after.find_histogram("server.audit_us")) {

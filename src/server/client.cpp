@@ -88,11 +88,6 @@ PingReply Client::ping() {
   return decode_ping_reply(response.body);
 }
 
-StatsReply Client::stats() {
-  const Response response = roundtrip(encode_stats_request());
-  return decode_stats_reply(response.body);
-}
-
 StatusReply Client::status() {
   const Response response = roundtrip(encode_status_request());
   return decode_status_reply(response.body);

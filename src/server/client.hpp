@@ -28,11 +28,10 @@ class Client {
   /// Each call sends one request frame and blocks for the response frame.
   /// An error response rethrows as ServerError (status + server message).
   [[nodiscard]] PingReply ping();
-  /// Registry snapshot + runtime identity of the daemon process.
-  [[nodiscard]] StatsReply stats();
-  /// Live-operations snapshot: in-flight requests, campaign progress,
-  /// flight-recorder ring. Older daemons answer kBadPayload (thrown here
-  /// as ServerError), exactly like stats() against a pre-obs daemon.
+  /// The daemon's telemetry: runtime identity, registry snapshot,
+  /// in-flight requests, campaign progress, flight-recorder ring. Daemons
+  /// that predate the status request answer kBadPayload (thrown here as
+  /// ServerError).
   [[nodiscard]] StatusReply status();
   [[nodiscard]] AuditReply audit(const AuditRequest& request);
   /// Streaming audit: sends kAuditStream and consumes kOk frames until the

@@ -124,7 +124,6 @@ const char* request_kind_name(RequestKind kind) {
     case RequestKind::kMask: return "mask";
     case RequestKind::kScore: return "score";
     case RequestKind::kShutdown: return "shutdown";
-    case RequestKind::kStats: return "stats";
     case RequestKind::kAuditStream: return "audit_stream";
     case RequestKind::kStatus: return "status";
     case RequestKind::kDesign: return "design";
@@ -157,11 +156,6 @@ std::vector<std::uint8_t> encode_ping_request() {
 
 std::vector<std::uint8_t> encode_shutdown_request() {
   auto out = request_header(RequestKind::kShutdown);
-  return finish_request(out);
-}
-
-std::vector<std::uint8_t> encode_stats_request() {
-  auto out = request_header(RequestKind::kStats);
   return finish_request(out);
 }
 
@@ -218,7 +212,8 @@ RequestKind decode_request_kind(serialize::Reader& in) {
   in.enter_chunk("POLQ");
   const std::uint8_t kind = in.u8();
   in.exit_chunk();
-  if (kind > static_cast<std::uint8_t>(RequestKind::kShard)) {
+  if (kind == kRetiredStatsKind ||
+      kind > static_cast<std::uint8_t>(RequestKind::kShard)) {
     throw std::runtime_error("polaris serve: unknown request kind " +
                              std::to_string(kind));
   }
@@ -533,31 +528,18 @@ ShardReply decode_shard_reply(std::span<const std::uint8_t> body) {
   return reply;
 }
 
-std::vector<std::uint8_t> encode_stats_reply(const StatsReply& reply) {
-  serialize::Writer out;
-  out.begin_chunk("STTS");
-  out.u32(reply.protocol);
-  out.str(reply.model_name);
-  out.u64(reply.config_fingerprint);
-  out.str(reply.build_type);
-  out.str(reply.simd);
-  out.u64(reply.lane_words);
-  out.u64(reply.requests_served);
-  out.u64(reply.connections);
-  // Uptime, appended at end-of-chunk: pre-status readers skip it via the
-  // chunk length; new readers default it to 0 when absent.
-  out.u64(reply.uptime_ms);
-  out.end_chunk();
-  // The registry snapshot, as its own chunk: counters as (name, value),
-  // histograms as (name, count, sum, sparse non-zero buckets).
-  out.begin_chunk("SNAP");
-  out.u64(reply.snapshot.counters.size());
-  for (const auto& counter : reply.snapshot.counters) {
+namespace {
+
+// The registry snapshot ("SNAP" chunk body): counters as (name, value),
+// histograms as (name, count, sum, sparse non-zero buckets).
+void write_snapshot(serialize::Writer& out, const obs::Snapshot& snapshot) {
+  out.u64(snapshot.counters.size());
+  for (const auto& counter : snapshot.counters) {
     out.str(counter.name);
     out.u64(counter.value);
   }
-  out.u64(reply.snapshot.histograms.size());
-  for (const auto& histogram : reply.snapshot.histograms) {
+  out.u64(snapshot.histograms.size());
+  for (const auto& histogram : snapshot.histograms) {
     out.str(histogram.name);
     out.u64(histogram.count);
     out.u64(histogram.sum);
@@ -567,48 +549,31 @@ std::vector<std::uint8_t> encode_stats_reply(const StatsReply& reply) {
       out.u64(count);
     }
   }
-  out.end_chunk();
-  return out.finish();
 }
 
-StatsReply decode_stats_reply(std::span<const std::uint8_t> body) {
-  serialize::Reader in(std::vector<std::uint8_t>(body.begin(), body.end()));
-  StatsReply reply;
-  in.enter_chunk("STTS");
-  reply.protocol = in.u32();
-  reply.model_name = in.str();
-  reply.config_fingerprint = in.u64();
-  reply.build_type = in.str();
-  reply.simd = in.str();
-  reply.lane_words = in.u64();
-  reply.requests_served = in.u64();
-  reply.connections = in.u64();
-  if (in.remaining() > 0) {  // pre-status daemons end the chunk here
-    reply.uptime_ms = in.u64();
-  }
-  in.exit_chunk();
-  in.enter_chunk("SNAP");
+obs::Snapshot read_snapshot(serialize::Reader& in) {
+  obs::Snapshot snapshot;
   // Check-before-allocate: a counter is at least a length-prefixed name
   // plus a u64, a histogram at least four u64-sized fields, a bucket
   // exactly 12 bytes - so hostile counts are rejected before any reserve.
   const std::uint64_t n_counters = in.u64();
   if (n_counters > in.remaining() / 16) {
-    throw std::runtime_error("polaris serve: stats counter count exceeds "
+    throw std::runtime_error("polaris serve: snapshot counter count exceeds "
                              "payload size");
   }
-  reply.snapshot.counters.reserve(n_counters);
+  snapshot.counters.reserve(n_counters);
   for (std::uint64_t i = 0; i < n_counters; ++i) {
     obs::CounterSnapshot counter;
     counter.name = in.str();
     counter.value = in.u64();
-    reply.snapshot.counters.push_back(std::move(counter));
+    snapshot.counters.push_back(std::move(counter));
   }
   const std::uint64_t n_histograms = in.u64();
   if (n_histograms > in.remaining() / 32) {
-    throw std::runtime_error("polaris serve: stats histogram count exceeds "
-                             "payload size");
+    throw std::runtime_error("polaris serve: snapshot histogram count "
+                             "exceeds payload size");
   }
-  reply.snapshot.histograms.reserve(n_histograms);
+  snapshot.histograms.reserve(n_histograms);
   for (std::uint64_t i = 0; i < n_histograms; ++i) {
     obs::HistogramSnapshot histogram;
     histogram.name = in.str();
@@ -616,7 +581,7 @@ StatsReply decode_stats_reply(std::span<const std::uint8_t> body) {
     histogram.sum = in.u64();
     const std::uint64_t n_buckets = in.u64();
     if (n_buckets > in.remaining() / 12) {
-      throw std::runtime_error("polaris serve: stats bucket count exceeds "
+      throw std::runtime_error("polaris serve: snapshot bucket count exceeds "
                                "payload size");
     }
     histogram.buckets.reserve(n_buckets);
@@ -625,11 +590,12 @@ StatsReply decode_stats_reply(std::span<const std::uint8_t> body) {
       const std::uint64_t count = in.u64();
       histogram.buckets.emplace_back(index, count);
     }
-    reply.snapshot.histograms.push_back(std::move(histogram));
+    snapshot.histograms.push_back(std::move(histogram));
   }
-  in.exit_chunk();
-  return reply;
+  return snapshot;
 }
+
+}  // namespace
 
 std::vector<std::uint8_t> encode_status_reply(const StatusReply& reply) {
   serialize::Writer out;
@@ -642,6 +608,12 @@ std::vector<std::uint8_t> encode_status_reply(const StatusReply& reply) {
   out.u64(reply.uptime_ms);
   out.u64(reply.sample_interval_ms);
   out.u64(reply.samples);
+  // Identity, appended at end-of-chunk (old readers skip it via the chunk
+  // length; new readers default the fields when absent).
+  out.u64(reply.config_fingerprint);
+  out.str(reply.build_type);
+  out.str(reply.simd);
+  out.u64(reply.lane_words);
   out.end_chunk();
   out.begin_chunk("INFL");
   out.u64(reply.inflight.size());
@@ -691,6 +663,10 @@ std::vector<std::uint8_t> encode_status_reply(const StatusReply& reply) {
     }
     out.end_chunk();
   }
+  // Last, so every older reader stops before it.
+  out.begin_chunk("SNAP");
+  write_snapshot(out, reply.snapshot);
+  out.end_chunk();
   return out.finish();
 }
 
@@ -706,9 +682,15 @@ StatusReply decode_status_reply(std::span<const std::uint8_t> body) {
   reply.uptime_ms = in.u64();
   reply.sample_interval_ms = in.u64();
   reply.samples = in.u64();
+  if (in.remaining() > 0) {  // pre-fold daemons end the chunk here
+    reply.config_fingerprint = in.u64();
+    reply.build_type = in.str();
+    reply.simd = in.str();
+    reply.lane_words = in.u64();
+  }
   in.exit_chunk();
   in.enter_chunk("INFL");
-  // Check-before-allocate, like the stats codec: an in-flight entry is
+  // Check-before-allocate, like the snapshot codec: an in-flight entry is
   // exactly 17 payload bytes, a progress row at least a length-prefixed
   // label plus five u64s and a bool, a flight record exactly 27 bytes -
   // hostile counts are rejected before any reserve.
@@ -783,6 +765,10 @@ StatusReply decode_status_reply(std::span<const std::uint8_t> body) {
       worker.resends = in.u64();
       reply.workers.push_back(std::move(worker));
     }
+    in.exit_chunk();
+  }
+  if (in.try_enter_chunk("SNAP")) {
+    reply.snapshot = read_snapshot(in);
     in.exit_chunk();
   }
   return reply;

@@ -58,17 +58,16 @@ enum class RequestKind : std::uint8_t {
   kMask = 2,
   kScore = 3,
   kShutdown = 4,
-  kStats = 5,  // registry snapshot; unknown to pre-obs servers, which
-               // answer kBadPayload and keep the connection open - no
-               // protocol version bump needed
+  // 5: reserved (kRetiredStatsKind below).
   kAuditStream = 6,  // audit with per-checkpoint partial frames (budget-
                      // enabled configs); same AUDQ payload and cache key
                      // as kAudit. Unknown to older servers: kBadPayload,
                      // connection stays open, no version bump.
-  kStatus = 7,  // live-operations snapshot: in-flight requests, campaign
-                // progress, flight-recorder ring. Pure telemetry, never
-                // cached. Unknown to older servers: kBadPayload, same
-                // append-only contract as kStats - no version bump.
+  kStatus = 7,  // the daemon's one telemetry reply: runtime identity,
+                // registry snapshot, in-flight requests, campaign progress,
+                // flight-recorder ring. Never cached. Unknown to older
+                // servers: kBadPayload, connection stays open, no version
+                // bump.
   kDesign = 8,  // distributed execution: install a netlist + roles under
                 // its design fingerprint in a worker's plan cache, so the
                 // shard requests that follow can reference it by the
@@ -79,6 +78,12 @@ enum class RequestKind : std::uint8_t {
                 // coordinator can replay the exact single-host merge
                 // order (bit-identical audits at any worker count).
 };
+
+/// Wire kind 5 was the stats request, retired when its registry snapshot
+/// moved into kStatus. It stays reserved and is never reused:
+/// decode_request_kind rejects it, so a daemon answers kBadPayload and
+/// keeps the connection open, as for any unknown kind.
+inline constexpr std::uint8_t kRetiredStatsKind = 5;
 
 /// Short lowercase name for a request kind ("ping", "audit", ...), used in
 /// log lines, span args, and the flight recorder. Never "?" for a kind
@@ -185,24 +190,6 @@ struct PingReply {
   std::uint64_t lane_words = 0;
 };
 
-/// Registry snapshot plus the same runtime identity as PingReply. The
-/// snapshot is process-wide execution telemetry - by the obs contract it
-/// never feeds a fingerprint, so stats responses are never cached.
-struct StatsReply {
-  std::uint32_t protocol = kProtocolVersion;
-  std::string model_name;
-  std::uint64_t config_fingerprint = 0;
-  std::string build_type;
-  std::string simd;
-  std::uint64_t lane_words = 0;
-  std::uint64_t requests_served = 0;
-  std::uint64_t connections = 0;
-  obs::Snapshot snapshot;
-  /// Milliseconds since the daemon started (appended field; 0 from older
-  /// servers). Lets `client stats --prom` export polaris_uptime_seconds.
-  std::uint64_t uptime_ms = 0;
-};
-
 /// One request currently being serviced by a handler thread (decoded but
 /// not yet answered) at the instant the status snapshot was taken.
 struct InflightEntry {
@@ -221,11 +208,6 @@ struct FlightRecordEntry {
   std::uint64_t age_us = 0;      // time since completion
 };
 
-/// Live-operations snapshot: what the daemon is doing RIGHT NOW (in-flight
-/// requests, per-campaign shard progress) plus what it just finished (the
-/// flight-recorder ring, newest first). Point-in-time telemetry gathered
-/// under the scheduler/connection locks - never cached, never part of any
-/// fingerprint or result.
 /// Health of one remote worker as seen by the coordinator's worker pool.
 /// Pure telemetry, same caveats as the rest of the status snapshot.
 struct WorkerHealthEntry {
@@ -238,6 +220,12 @@ struct WorkerHealthEntry {
   std::uint64_t resends = 0;     // shards requeued after loss/timeout
 };
 
+/// Live-operations snapshot, the daemon's one telemetry reply: what it is
+/// doing RIGHT NOW (in-flight requests, per-campaign shard progress), what
+/// it just finished (the flight-recorder ring, newest first), and the
+/// registry counters and histograms since startup. Point-in-time telemetry
+/// gathered under the scheduler/connection locks - never cached, never
+/// part of any fingerprint or result.
 struct StatusReply {
   std::uint32_t protocol = kProtocolVersion;
   std::string model_name;
@@ -246,13 +234,23 @@ struct StatusReply {
   std::uint64_t connections_total = 0;   // accepted since startup
   std::uint64_t uptime_ms = 0;
   std::uint64_t sample_interval_ms = 0;  // metrics sampler period (0 = off)
-  std::uint64_t samples = 0;             // time-series points collected
+  std::uint64_t samples = 0;             // metrics-file samples taken
+  // Bundle and runtime identity, as in PingReply (appended STAT fields;
+  // empty/zero from older daemons).
+  std::uint64_t config_fingerprint = 0;
+  std::string build_type;
+  std::string simd;
+  std::uint64_t lane_words = 0;
   std::vector<InflightEntry> inflight;
   std::vector<engine::CampaignProgress> campaigns;
   std::vector<FlightRecordEntry> recent;  // newest first
   /// Remote-worker fleet health (appended "WRKR" chunk; empty from
   /// daemons without --workers and from pre-distributed daemons).
   std::vector<WorkerHealthEntry> workers;
+  /// Process-wide registry snapshot (appended "SNAP" chunk; empty from
+  /// older daemons). Execution telemetry: by the obs contract it never
+  /// feeds a fingerprint.
+  obs::Snapshot snapshot;
 };
 
 struct AuditReply {
@@ -316,7 +314,6 @@ struct ShardReply {
 /// the kind-specific decoder must then be called on the same reader.
 [[nodiscard]] std::vector<std::uint8_t> encode_ping_request();
 [[nodiscard]] std::vector<std::uint8_t> encode_shutdown_request();
-[[nodiscard]] std::vector<std::uint8_t> encode_stats_request();
 [[nodiscard]] std::vector<std::uint8_t> encode_status_request();
 [[nodiscard]] std::vector<std::uint8_t> encode_audit_request(const AuditRequest& request);
 /// Same AUDQ payload as encode_audit_request under kind kAuditStream.
@@ -347,7 +344,6 @@ struct ShardReply {
 [[nodiscard]] std::vector<std::uint8_t> encode_audit_reply(const AuditReply& reply);
 [[nodiscard]] std::vector<std::uint8_t> encode_mask_reply(const MaskReply& reply);
 [[nodiscard]] std::vector<std::uint8_t> encode_score_reply(const ScoreReply& reply);
-[[nodiscard]] std::vector<std::uint8_t> encode_stats_reply(const StatsReply& reply);
 [[nodiscard]] std::vector<std::uint8_t> encode_status_reply(const StatusReply& reply);
 
 /// Partial-checkpoint bodies for the streaming audit. is_audit_partial
@@ -363,7 +359,6 @@ struct ShardReply {
 [[nodiscard]] AuditReply decode_audit_reply(std::span<const std::uint8_t> body);
 [[nodiscard]] MaskReply decode_mask_reply(std::span<const std::uint8_t> body);
 [[nodiscard]] ScoreReply decode_score_reply(std::span<const std::uint8_t> body);
-[[nodiscard]] StatsReply decode_stats_reply(std::span<const std::uint8_t> body);
 [[nodiscard]] StatusReply decode_status_reply(std::span<const std::uint8_t> body);
 [[nodiscard]] std::vector<std::uint8_t> encode_shard_reply(const ShardReply& reply);
 [[nodiscard]] ShardReply decode_shard_reply(std::span<const std::uint8_t> body);

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <initializer_list>
 #include <utility>
@@ -40,34 +41,24 @@ std::uint64_t combine_all(std::uint64_t key,
                            std::strerror(errno));
 }
 
-/// Per-request-type service-time histogram (request decode + compute +
-/// cache lookup; frame I/O excluded). Nullptr is never returned - every
-/// decodable kind has a histogram.
+/// Per-request-type service-time histogram "server.<kind>_us" (request
+/// decode + compute + cache lookup; frame I/O excluded), one per kind
+/// decode_request_kind accepts, all registered on first use.
 obs::Histogram& request_histogram(RequestKind kind) {
-  auto& registry = obs::Registry::global();
-  static auto& ping = registry.histogram("server.ping_us");
-  static auto& audit = registry.histogram("server.audit_us");
-  static auto& mask = registry.histogram("server.mask_us");
-  static auto& score = registry.histogram("server.score_us");
-  static auto& shutdown = registry.histogram("server.shutdown_us");
-  static auto& stats = registry.histogram("server.stats_us");
-  static auto& audit_stream = registry.histogram("server.audit_stream_us");
-  static auto& status = registry.histogram("server.status_us");
-  static auto& design = registry.histogram("server.design_us");
-  static auto& shard = registry.histogram("server.shard_us");
-  switch (kind) {
-    case RequestKind::kPing: return ping;
-    case RequestKind::kAudit: return audit;
-    case RequestKind::kMask: return mask;
-    case RequestKind::kScore: return score;
-    case RequestKind::kShutdown: return shutdown;
-    case RequestKind::kStats: return stats;
-    case RequestKind::kAuditStream: return audit_stream;
-    case RequestKind::kStatus: return status;
-    case RequestKind::kDesign: return design;
-    case RequestKind::kShard: return shard;
-  }
-  return ping;  // unreachable: decode_request_kind rejects unknown kinds
+  using Table =
+      std::array<obs::Histogram*,
+                 static_cast<std::size_t>(RequestKind::kShard) + 1>;
+  static const Table table = [] {
+    Table histograms{};
+    for (std::size_t i = 0; i < histograms.size(); ++i) {
+      if (i == kRetiredStatsKind) continue;
+      histograms[i] = &obs::Registry::global().histogram(
+          std::string("server.") +
+          request_kind_name(static_cast<RequestKind>(i)) + "_us");
+    }
+    return histograms;
+  }();
+  return *table[static_cast<std::size_t>(kind)];
 }
 
 }  // namespace
@@ -79,13 +70,12 @@ Server::Server(ServerOptions options)
       recorder_(options_.flight_records,
                 static_cast<std::uint64_t>(options_.slow_request_ms) * 1000),
       sampler_(obs::Registry::global(),
-               obs::Sampler::Options{
-                   options_.sample_interval_ms == 0
-                       ? std::size_t{1000}
-                       : options_.sample_interval_ms,
-                   /*capacity=*/128, options_.metrics_file}) {
+               obs::Sampler::Options{options_.sample_interval_ms,
+                                     options_.metrics_file}) {
   start_mono_ns_ = obs::now_ns();
-  start_wall_ms_ = obs::wall_clock_ms();
+  // The sampler's only output is the metrics file: without one it never
+  // runs, and status reports its period as 0 (off).
+  if (options_.metrics_file.empty()) options_.sample_interval_ms = 0;
   polaris_ = core::Polaris::load_bundle(options_.bundle_path, &info_);
   if (!options_.workers.empty()) {
     WorkerPoolOptions pool_options;
@@ -214,7 +204,7 @@ void Server::accept_loop() {
   drain_us.record(
       static_cast<std::uint64_t>((obs::now_ns() - drain_start) / 1000));
   // Last: the sampler outlives the handlers so the final intervals (the
-  // drain itself included) still land in the time-series and metrics file.
+  // drain itself included) still land in the metrics file.
   sampler_.stop();
 }
 
@@ -335,7 +325,6 @@ bool Server::handle_payload(int fd, std::vector<std::uint8_t>& payload) {
         break;
       case RequestKind::kMask: body = serve_mask(in, cache_hit); break;
       case RequestKind::kScore: body = serve_score(in, cache_hit); break;
-      case RequestKind::kStats: body = serve_stats(); break;
       case RequestKind::kStatus: body = serve_status(); break;
       case RequestKind::kDesign:
       case RequestKind::kShard:
@@ -410,27 +399,15 @@ core::ResultCache::Body Server::serve_ping() {
       encode_ping_reply(reply));
 }
 
-core::ResultCache::Body Server::serve_stats() {
+core::ResultCache::Body Server::serve_status() {
+  const std::int64_t now = obs::now_ns();
   const obs::RuntimeInfo runtime = obs::runtime_info();
-  StatsReply reply;
+  StatusReply reply;
   reply.model_name = info_.model_name;
   reply.config_fingerprint = info_.config_fingerprint;
   reply.build_type = runtime.build_type;
   reply.simd = runtime.simd;
   reply.lane_words = runtime.lane_words;
-  reply.requests_served = requests_served_.load();
-  reply.connections = connections_accepted_.load();
-  reply.snapshot = obs::Registry::global().snapshot();
-  reply.uptime_ms = static_cast<std::uint64_t>(
-      (obs::now_ns() - start_mono_ns_) / 1'000'000);
-  return std::make_shared<const std::vector<std::uint8_t>>(
-      encode_stats_reply(reply));
-}
-
-core::ResultCache::Body Server::serve_status() {
-  const std::int64_t now = obs::now_ns();
-  StatusReply reply;
-  reply.model_name = info_.model_name;
   reply.requests_served = requests_served_.load();
   reply.connections_total = connections_accepted_.load();
   {
@@ -444,7 +421,7 @@ core::ResultCache::Body Server::serve_status() {
   reply.uptime_ms =
       static_cast<std::uint64_t>((now - start_mono_ns_) / 1'000'000);
   reply.sample_interval_ms = options_.sample_interval_ms;
-  reply.samples = sampler_.series().total_pushed();
+  reply.samples = sampler_.samples();
   {
     const std::lock_guard<std::mutex> lock(inflight_mutex_);
     reply.inflight.reserve(inflight_.size());
@@ -478,6 +455,7 @@ core::ResultCache::Body Server::serve_status() {
         static_cast<std::uint64_t>((now - record.completed_ns) / 1000);
     reply.recent.push_back(entry);
   }
+  reply.snapshot = obs::Registry::global().snapshot();
   return std::make_shared<const std::vector<std::uint8_t>>(
       encode_status_reply(reply));
 }

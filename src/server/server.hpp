@@ -27,7 +27,7 @@
 #include "core/polaris.hpp"
 #include "core/result_cache.hpp"
 #include "engine/scheduler.hpp"
-#include "obs/timeseries.hpp"
+#include "obs/sampler.hpp"
 #include "server/flight_recorder.hpp"
 #include "server/net.hpp"
 #include "server/protocol.hpp"
@@ -52,8 +52,9 @@ struct ServerOptions {
   /// result cache and its keys are untouched.
   std::string workers;
   // Live-operations knobs (pure telemetry; none affect served results):
-  std::size_t sample_interval_ms = 1000;  // metrics sampler period, 0 = off
-  std::string metrics_file;      // append one JSON delta line per interval
+  std::size_t sample_interval_ms = 1000;  // metrics-file period, 0 = off
+  std::string metrics_file;  // append one JSON delta line per interval;
+                             // empty = the sampler never runs
   std::size_t flight_records = 64;       // completed-request ring depth
   std::size_t slow_request_ms = 1000;    // log threshold, 0 = never log
 };
@@ -120,11 +121,10 @@ class Server {
   bool handle_payload(int fd, std::vector<std::uint8_t>& payload);
 
   core::ResultCache::Body serve_ping();
-  /// Registry snapshot + runtime identity. Never cached: the snapshot is
-  /// execution telemetry and changes between any two calls.
-  core::ResultCache::Body serve_stats();
-  /// Live-operations snapshot: in-flight requests, per-campaign scheduler
-  /// progress, flight-recorder ring. Never cached, for the same reason.
+  /// Live-operations snapshot: runtime identity, registry snapshot,
+  /// in-flight requests, per-campaign scheduler progress, flight-recorder
+  /// ring. Never cached: it is execution telemetry and changes between
+  /// any two calls.
   core::ResultCache::Body serve_status();
   core::ResultCache::Body serve_audit(serialize::Reader& in, bool& cache_hit);
   /// Streaming audit: identical compute and cache key to serve_audit, but
@@ -154,7 +154,6 @@ class Server {
   FlightRecorder recorder_;
   obs::Sampler sampler_;
   std::int64_t start_mono_ns_ = 0;  // obs::now_ns() at construction
-  std::int64_t start_wall_ms_ = 0;  // wall clock at construction
 
   /// Requests currently being serviced (decoded, not yet answered), keyed
   /// by a per-request token so concurrent handlers never collide.

@@ -159,7 +159,9 @@ class ServerTest : public ::testing::Test {
       training.push_back(std::move(d));
     }
     (void)polaris->train(training, lib());
-    bundle_path_ = new std::string(::testing::TempDir() + "serve_test.plb");
+    // Per-process name: concurrent test binaries must not share a bundle.
+    bundle_path_ = new std::string(::testing::TempDir() + "serve_test_" +
+                                   std::to_string(::getpid()) + ".plb");
     polaris->save_bundle(*bundle_path_);
     polaris_ = polaris;
   }
@@ -297,14 +299,14 @@ TEST_F(ServerTest, StatsRoundTripTracksCacheHitsAndRequestLatency) {
   auto daemon = make_server(2);
   server::Client client(daemon->socket_path());
 
-  const auto before = client.stats();
+  const auto before = client.status();
   EXPECT_EQ(before.protocol, server::kProtocolVersion);
   EXPECT_FALSE(before.build_type.empty());
   EXPECT_FALSE(before.simd.empty());
   EXPECT_GE(before.lane_words, 1u);
 
   // The registry is process-global and other tests in this binary record
-  // into it, so every assertion below is on DELTAS between stats calls.
+  // into it, so every assertion below is on DELTAS between status calls.
   server::AuditRequest request;
   request.design = "square";
   request.scale = 0.3;
@@ -312,9 +314,9 @@ TEST_F(ServerTest, StatsRoundTripTracksCacheHitsAndRequestLatency) {
   request.config.tvla.seed = 4242;  // fresh key: the first audit must miss
   request.config.seed = 4242;
   EXPECT_FALSE(client.audit(request).cache_hit);
-  const auto after_miss = client.stats();
+  const auto after_miss = client.status();
   EXPECT_TRUE(client.audit(request).cache_hit);
-  const auto after_hit = client.stats();
+  const auto after_hit = client.status();
 
   EXPECT_GE(after_miss.snapshot.counter_value("cache.misses"),
             before.snapshot.counter_value("cache.misses") + 1);
@@ -464,6 +466,27 @@ TEST_F(ServerTest, UnknownRequestKindAnsweredAndConnectionStaysUsable) {
   serialize::Writer out;
   out.begin_chunk("POLQ");
   out.u8(static_cast<std::uint8_t>(server::RequestKind::kShard) + 1);
+  out.end_chunk();
+  const auto frame = frame_bytes(out.finish());
+  const int fd = raw_connect(daemon->socket_path());
+  ASSERT_GE(fd, 0);
+  send_all(fd, frame.data(), frame.size());
+  EXPECT_EQ(read_status(fd), server::Status::kBadPayload);
+  const auto good = ping_frame_bytes();
+  send_all(fd, good.data(), good.size());
+  EXPECT_EQ(read_status(fd), server::Status::kOk);
+  ::close(fd);
+}
+
+TEST_F(ServerTest, RetiredStatsKindAnsweredAndConnectionStaysUsable) {
+  // Kind 5 (the retired stats request) lies inside the live range but is
+  // reserved: a stale client gets kBadPayload, not a reply it would
+  // misread, and the connection keeps serving.
+  auto daemon = make_server(1);
+  serialize::Writer out;
+  out.begin_chunk("POLQ");
+  static_assert(server::kRetiredStatsKind == 5);
+  out.u8(server::kRetiredStatsKind);
   out.end_chunk();
   const auto frame = frame_bytes(out.finish());
   const int fd = raw_connect(daemon->socket_path());
@@ -628,15 +651,15 @@ TEST(ServeProtocol, ResponsesRoundTripIncludingReports) {
   expect_reports_bit_identical(back.report, reply.report);
 }
 
-TEST(ServeProtocol, StatsReplyRoundTripsRegistrySnapshot) {
-  server::StatsReply reply;
+TEST(ServeProtocol, StatusReplyRoundTripsIdentityAndRegistrySnapshot) {
+  server::StatusReply reply;
   reply.model_name = "adaboost";
   reply.config_fingerprint = 0x1234abcd;
   reply.build_type = "release";
   reply.simd = "avx2";
   reply.lane_words = 4;
   reply.requests_served = 7;
-  reply.connections = 3;
+  reply.connections_total = 3;
   obs::Registry registry;  // local: the wire format, not the global state
   registry.counter("cache.hits").add(41);
   auto& histogram = registry.histogram("server.audit_us");
@@ -646,7 +669,7 @@ TEST(ServeProtocol, StatsReplyRoundTripsRegistrySnapshot) {
   reply.snapshot = registry.snapshot();
 
   const auto back =
-      server::decode_stats_reply(server::encode_stats_reply(reply));
+      server::decode_status_reply(server::encode_status_reply(reply));
   EXPECT_EQ(back.protocol, server::kProtocolVersion);
   EXPECT_EQ(back.model_name, "adaboost");
   EXPECT_EQ(back.config_fingerprint, 0x1234abcdu);
@@ -654,13 +677,45 @@ TEST(ServeProtocol, StatsReplyRoundTripsRegistrySnapshot) {
   EXPECT_EQ(back.simd, "avx2");
   EXPECT_EQ(back.lane_words, 4u);
   EXPECT_EQ(back.requests_served, 7u);
-  EXPECT_EQ(back.connections, 3u);
+  EXPECT_EQ(back.connections_total, 3u);
   EXPECT_EQ(back.snapshot.counter_value("cache.hits"), 41u);
   const auto* hist = back.snapshot.find_histogram("server.audit_us");
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->count, 3u);
   EXPECT_EQ(hist->sum, 100105u);
   EXPECT_EQ(hist->buckets, reply.snapshot.histograms[0].buckets);
+}
+
+TEST(ServeProtocol, StatusReplyFromOlderDaemonDecodesWithEmptyNewFields) {
+  // A status body as daemons wrote it before the identity fields and the
+  // SNAP chunk: the STAT chunk ends after `samples`, and no SNAP follows.
+  serialize::Writer out;
+  out.begin_chunk("STAT");
+  out.u32(server::kProtocolVersion);
+  out.str("adaboost");
+  out.u64(7);     // requests_served
+  out.u64(1);     // connections_active
+  out.u64(3);     // connections_total
+  out.u64(5000);  // uptime_ms
+  out.u64(1000);  // sample_interval_ms
+  out.u64(4);     // samples
+  out.end_chunk();
+  for (const char* tag : {"INFL", "PROG", "FREC"}) {
+    out.begin_chunk(tag);
+    out.u64(0);
+    out.end_chunk();
+  }
+  const auto back = server::decode_status_reply(out.finish());
+  EXPECT_EQ(back.model_name, "adaboost");
+  EXPECT_EQ(back.requests_served, 7u);
+  EXPECT_EQ(back.connections_total, 3u);
+  EXPECT_EQ(back.samples, 4u);
+  EXPECT_EQ(back.config_fingerprint, 0u);
+  EXPECT_TRUE(back.build_type.empty());
+  EXPECT_TRUE(back.simd.empty());
+  EXPECT_EQ(back.lane_words, 0u);
+  EXPECT_TRUE(back.snapshot.counters.empty());
+  EXPECT_TRUE(back.snapshot.histograms.empty());
 }
 
 TEST(ResultCache, BytesTrackResidentBodiesAcrossRefreshAndEviction) {
@@ -949,6 +1004,11 @@ TEST(ServeProtocol, EveryTruncatedStatusReplyPrefixFailsCleanly) {
   server::FlightRecordEntry record;
   record.kind = 2;
   reply.recent.push_back(record);
+  reply.build_type = "release";
+  obs::Registry registry;
+  registry.counter("cache.hits").add(3);
+  registry.histogram("server.audit_us").record(250);
+  reply.snapshot = registry.snapshot();
   const auto body = server::encode_status_reply(reply);
 
   for (std::size_t keep = 0; keep < body.size(); ++keep) {
@@ -959,7 +1019,9 @@ TEST(ServeProtocol, EveryTruncatedStatusReplyPrefixFailsCleanly) {
   }
   // The untruncated body still decodes: the sweep failed for the right
   // reason.
-  EXPECT_EQ(server::decode_status_reply(body).model_name, "m");
+  const auto back = server::decode_status_reply(body);
+  EXPECT_EQ(back.model_name, "m");
+  EXPECT_EQ(back.snapshot.counter_value("cache.hits"), 3u);
 }
 
 TEST(FlightRecorder, RingEvictsOldestAndListsNewestFirst) {
@@ -1004,7 +1066,7 @@ TEST_F(ServerTest, StatusReportsInflightCampaignsAndFlightRecorder) {
 
   server::Client poll(daemon->socket_path());
   const std::uint64_t hits_before =
-      poll.stats().snapshot.counter_value("cache.hits");
+      poll.status().snapshot.counter_value("cache.hits");
 
   core::PolarisConfig config = audit_config();
   // Long enough to observe mid-flight: on a loaded host a short request
@@ -1090,17 +1152,59 @@ TEST_F(ServerTest, StatusReportsInflightCampaignsAndFlightRecorder) {
   EXPECT_TRUE(miss_recorded);
   EXPECT_TRUE(hit_recorded);
   const std::uint64_t hits_after =
-      poll.stats().snapshot.counter_value("cache.hits");
+      poll.status().snapshot.counter_value("cache.hits");
   EXPECT_EQ(hits_after - hits_before, 1u);
 
   // The table drains with the work: nothing in flight once the audits are
   // done and this status round-trip is the only live request.
   EXPECT_TRUE(poll.status().campaigns.empty());
 
-  // Uptime flows through stats too (appended STTS field).
-  EXPECT_GT(poll.stats().uptime_ms + 1, 0u);  // present and decodable
+  // Uptime and runtime identity flow through status too.
+  const auto final_status = poll.status();
+  EXPECT_GT(final_status.uptime_ms + 1, 0u);  // present and decodable
+  EXPECT_FALSE(final_status.build_type.empty());
   daemon->request_stop();
   daemon->wait();
+}
+
+TEST_F(ServerTest, SamplerRunsOnlyWithAMetricsFile) {
+  const std::string metrics =
+      ::testing::TempDir() + "serve_metrics_" + std::to_string(::getpid()) +
+      ".jsonl";
+  std::remove(metrics.c_str());
+  server::ServerOptions options;
+  options.bundle_path = *bundle_path_;
+  options.threads = 1;
+  options.sample_interval_ms = 5;
+  {
+    options.socket_path = unique_socket_path();
+    options.metrics_file = metrics;
+    server::Server daemon(options);
+    daemon.start();
+    server::Client client(daemon.socket_path());
+    auto status = client.status();
+    EXPECT_EQ(status.sample_interval_ms, 5u);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (status.samples < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      status = client.status();
+    }
+    EXPECT_GE(status.samples, 2u);
+  }
+  {
+    // Same period, no file: the sampler has no output, so it never runs.
+    options.socket_path = unique_socket_path();
+    options.metrics_file.clear();
+    server::Server daemon(options);
+    daemon.start();
+    server::Client client(daemon.socket_path());
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const auto status = client.status();
+    EXPECT_EQ(status.samples, 0u);
+    EXPECT_EQ(status.sample_interval_ms, 0u);
+  }
+  std::remove(metrics.c_str());
 }
 
 // --- TCP transport -----------------------------------------------------------

@@ -56,7 +56,7 @@ int client_ping(const ParsedFlags& flags) {
 
 int client_stats(const ParsedFlags& flags) {
   server::Client client(flags.require("socket"), timeout_from(flags));
-  const auto reply = client.stats();
+  const auto reply = client.status();
   if (flags.has("prom")) {
     // Prometheus text exposition; scrape-ready via `curl --unix-socket`-
     // style bridges or a sidecar that shells out to this verb. The info
@@ -79,7 +79,7 @@ int client_stats(const ParsedFlags& flags) {
               json_escape(reply.simd).c_str(),
               static_cast<unsigned long long>(reply.lane_words),
               static_cast<unsigned long long>(reply.requests_served),
-              static_cast<unsigned long long>(reply.connections),
+              static_cast<unsigned long long>(reply.connections_total),
               reply.snapshot.json_fragment().c_str());
   return 0;
 }
@@ -255,7 +255,7 @@ int client_top(const ParsedFlags& flags) {
   const std::size_t count = flags.get_size("count", 5);
 
   server::Client client(flags.require("socket"), timeout_from(flags));
-  auto previous = client.stats();
+  auto previous = client.status();
   std::int64_t previous_ns = obs::now_ns();
   std::printf("polaris top: %s (interval %.1fs, %zu samples)\n",
               previous.model_name.c_str(), interval_s, count);
@@ -264,8 +264,7 @@ int client_top(const ParsedFlags& flags) {
               "campaigns", "workers");
   for (std::size_t i = 0; i < count; ++i) {
     std::this_thread::sleep_for(std::chrono::duration<double>(interval_s));
-    auto current = client.stats();
-    const auto status = client.status();
+    auto current = client.status();
     const std::int64_t now_ns = obs::now_ns();
     const double elapsed =
         static_cast<double>(now_ns - previous_ns) / 1e9;
@@ -300,14 +299,14 @@ int client_top(const ParsedFlags& flags) {
     // alive/total of the daemon's shard-worker fleet; "-" for a daemon
     // serving without --workers.
     std::string fleet = "-";
-    if (!status.workers.empty()) {
+    if (!current.workers.empty()) {
       std::size_t alive = 0;
-      for (const auto& worker : status.workers) alive += worker.alive ? 1 : 0;
-      fleet = std::to_string(alive) + "/" + std::to_string(status.workers.size());
+      for (const auto& worker : current.workers) alive += worker.alive ? 1 : 0;
+      fleet = std::to_string(alive) + "/" + std::to_string(current.workers.size());
     }
     std::printf("%-14s %9.1f %12.0f %6.1f %9.2f %9.2f %9zu %10zu %8s\n",
                 stamp.c_str(), requests_rate, traces_rate, hit_pct, p50_ms,
-                p95_ms, status.inflight.size(), status.campaigns.size(),
+                p95_ms, current.inflight.size(), current.campaigns.size(),
                 fleet.c_str());
     std::fflush(stdout);
     previous = std::move(current);
@@ -509,7 +508,7 @@ int cmd_client(std::span<const char* const> args) {
         "  stats     daemon observability snapshot (JSON, or --prom text)\n"
         "  status    live operations: in-flight requests, campaign\n"
         "            progress, recent-request flight recorder\n"
-        "  top       repeated stats+status polls with interval rates\n"
+        "  top       repeated status polls with interval rates\n"
         "  audit     TVLA leakage report, served (same output as 'audit')\n"
         "  mask      masked Verilog, served (same output as 'mask')\n"
         "  score     per-gate masking scores from the served model\n"

@@ -42,7 +42,7 @@ int cmd_serve(std::span<const char* const> args) {
       {"metrics-file", true,
        "append one JSON metrics-delta line per sample interval"},
       {"sample-interval-ms", true,
-       "metrics sampler period in ms, 0 disables (default 1000)"},
+       "--metrics-file line period in ms, 0 disables (default 1000)"},
       {"slow-request-ms", true,
        "log requests slower than this, 0 disables (default 1000)"},
       {"flight-records", true,

@@ -1,6 +1,6 @@
 // `polaris_cli version`: build and runtime identity - build type, the SIMD
 // kernel the dispatcher would pick on THIS machine, and the wire/bundle
-// format versions. The same fields ride in the daemon's ping/stats replies,
+// format versions. The same fields ride in the daemon's ping/status replies,
 // so a flow can compare its local binary against a remote daemon.
 #include <cstdio>
 
