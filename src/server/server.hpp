@@ -9,10 +9,12 @@
 // offline audits do. Repeated requests for an unchanged design hit the
 // core::ResultCache and replay byte-identical reply bodies.
 //
-// Shutdown is graceful: request_stop() (async-signal-safe: one write to a
-// pipe) stops the accept loop; in-flight requests run to completion and
-// their responses are delivered before wait() returns and the socket file
-// is unlinked.
+// Connections, frame reading and the drain belong to a FrameListener
+// (listener.hpp, metrics under "server."); the daemon supplies only its
+// request handling. Shutdown is graceful: request_stop() (async-signal-safe:
+// one write to a pipe) stops the accept loop; in-flight requests run to
+// completion and their responses are delivered before wait() returns and
+// the socket file is unlinked.
 #pragma once
 
 #include <atomic>
@@ -20,7 +22,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -29,6 +30,7 @@
 #include "engine/scheduler.hpp"
 #include "obs/sampler.hpp"
 #include "server/flight_recorder.hpp"
+#include "server/listener.hpp"
 #include "server/net.hpp"
 #include "server/protocol.hpp"
 #include "server/remote.hpp"
@@ -74,8 +76,6 @@ class Server {
   /// socket file). Throws std::runtime_error on a bad bundle or bind
   /// failure. No requests are served until start().
   explicit Server(ServerOptions options);
-  /// Stops (as request_stop + wait) if still running, then closes fds.
-  ~Server();
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
@@ -100,22 +100,11 @@ class Server {
   }
   /// The endpoint actually bound - an ephemeral TCP port 0 in the options
   /// resolves to the kernel-assigned port here (tests depend on this).
-  [[nodiscard]] const net::Endpoint& endpoint() const { return endpoint_; }
+  [[nodiscard]] const net::Endpoint& endpoint() const {
+    return listener_.endpoint();
+  }
 
  private:
-  /// One accepted connection: its handler thread plus a completion flag
-  /// the accept loop reaps on (a long-lived daemon must not accumulate a
-  /// dead thread per past connection).
-  struct Connection {
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
-  void accept_loop();
-  /// Joins and discards connections whose handlers have finished. Only
-  /// ever called from the accept thread.
-  void reap_finished_connections();
-  void handle_connection(int fd);
   /// Decodes and serves one request payload. Returns false when the
   /// connection should close (a served shutdown request).
   bool handle_payload(int fd, std::vector<std::uint8_t>& payload);
@@ -143,9 +132,8 @@ class Server {
   core::ResultCache::Body serve_score(serialize::Reader& in, bool& cache_hit);
 
   ServerOptions options_;
-  net::Endpoint endpoint_;
+  core::BundleInfo info_;  // before polaris_: the bundle load fills it
   core::Polaris polaris_;
-  core::BundleInfo info_;
   techlib::TechLibrary lib_ = techlib::TechLibrary::default_library();
   engine::Scheduler scheduler_;
   /// Non-null when --workers was given: audits run distributed.
@@ -166,17 +154,9 @@ class Server {
   std::unordered_map<std::uint64_t, Inflight> inflight_;
   std::atomic<std::uint64_t> next_inflight_token_{0};
 
-  int listen_fd_ = -1;
-  int wake_read_fd_ = -1;
-  int wake_write_fd_ = -1;
-  std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> requests_served_{0};
-  std::atomic<std::uint64_t> connections_accepted_{0};
-
-  std::thread accept_thread_;
-  std::mutex connections_mutex_;
-  std::vector<std::unique_ptr<Connection>> connections_;
-  bool started_ = false;
+  /// Last member: destroyed first, so destroying a running daemon drains
+  /// it while the state its handlers use is still alive.
+  FrameListener listener_;
 };
 
 }  // namespace polaris::server

@@ -1,10 +1,11 @@
 // The POLARIS shard worker: a process that executes TVLA campaign shards
 // on behalf of a remote coordinator (server/remote.hpp).
 //
-// A worker is the serve daemon's little sibling: the same accept loop,
-// handler threads, frame codec, and graceful drain, but no bundle, no
-// result cache, and only four request kinds (ping / design / shard /
-// shutdown). A shard request names its design by content fingerprint; a
+// A worker is the serve daemon's little sibling: its connections, frame
+// reading and graceful drain are the daemon's own server::FrameListener
+// (listener.hpp, metrics under "worker."), and it adds only its request
+// handling - no bundle, no result cache, and four request kinds (ping /
+// design / shard / shutdown). A shard request names its design by content fingerprint; a
 // worker that does not hold it answers kUnknownDesign, and the coordinator
 // installs it with kDesign (netlist + input roles) and re-sends. The worker
 // compiles each installed design once and keeps the tvla::ShardRunner of
@@ -19,7 +20,9 @@
 // Determinism: per-shard moments are a pure function of (design, config,
 // shard index) - stimulus streams are counter-keyed per batch and blocks
 // re-anchor at the shard boundary - so the worker is free to pick its own
-// thread count and SIMD width without perturbing a single output bit.
+// thread count and SIMD width without perturbing a single output bit. A
+// request's shards fan out over engine::ThreadPool::shared(), capped at the
+// worker's `threads`.
 #pragma once
 
 #include <atomic>
@@ -28,10 +31,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "server/listener.hpp"
 #include "server/net.hpp"
 #include "server/protocol.hpp"
 #include "sim/compiled.hpp"
@@ -52,9 +55,6 @@ class Worker {
   /// Binds + listens on the configured endpoint. Throws std::runtime_error
   /// on bind failure. No requests are served until start().
   explicit Worker(WorkerOptions options);
-  /// Stops (as request_stop + wait) if still running, then closes fds.
-  ~Worker();
-
   Worker(const Worker&) = delete;
   Worker& operator=(const Worker&) = delete;
 
@@ -69,22 +69,16 @@ class Worker {
 
   /// The endpoint actually bound - an ephemeral TCP port 0 in the options
   /// resolves to the kernel-assigned port here (tests depend on this).
-  [[nodiscard]] const net::Endpoint& endpoint() const { return endpoint_; }
+  [[nodiscard]] const net::Endpoint& endpoint() const {
+    return listener_.endpoint();
+  }
 
   [[nodiscard]] std::uint64_t shards_run() const { return shards_run_.load(); }
   [[nodiscard]] std::uint64_t requests_served() const {
-    return requests_served_.load();
+    return listener_.requests_served();
   }
 
  private:
-  struct Connection {
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
-  void accept_loop();
-  void reap_finished_connections();
-  void handle_connection(int fd);
   /// Decodes and serves one request payload. Returns false when the
   /// connection should close (a served shutdown request).
   bool handle_payload(int fd, std::vector<std::uint8_t>& payload);
@@ -120,7 +114,6 @@ class Worker {
   std::shared_ptr<Installed> find_design(std::uint64_t fingerprint);
 
   WorkerOptions options_;
-  net::Endpoint endpoint_;
   techlib::TechLibrary lib_ = techlib::TechLibrary::default_library();
 
   std::mutex designs_mutex_;
@@ -130,17 +123,11 @@ class Worker {
       designs_;  // by design fingerprint, into lru_
   std::size_t resident_bytes_ = 0;  // sum of lru_ entries' bytes
 
-  int listen_fd_ = -1;
-  int wake_read_fd_ = -1;
-  int wake_write_fd_ = -1;
-  std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> requests_served_{0};
   std::atomic<std::uint64_t> shards_run_{0};
 
-  std::thread accept_thread_;
-  std::mutex connections_mutex_;
-  std::vector<std::unique_ptr<Connection>> connections_;
-  bool started_ = false;
+  /// Last member: destroyed first, so destroying a running worker drains
+  /// it while the designs its handlers use are still alive.
+  FrameListener listener_;
 };
 
 }  // namespace polaris::server

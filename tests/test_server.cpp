@@ -29,6 +29,7 @@
 #include "server/client.hpp"
 #include "server/flight_recorder.hpp"
 #include "server/server.hpp"
+#include "server/worker.hpp"
 #include "techlib/techlib.hpp"
 #include "tvla/tvla.hpp"
 
@@ -385,68 +386,114 @@ TEST_F(ServerTest, ConcurrentClientsGetCorrectAnswers) {
   EXPECT_EQ(daemon->stats().connections, 8u);
 }
 
-// --- malformed frames -------------------------------------------------------
+// --- frame hardening: the daemon and the shard worker -------------------------
+//
+// Both read frames through one server::FrameListener, so every malformed or
+// stalled frame below is sent to each of them.
 
-TEST_F(ServerTest, EveryTruncatedFramePrefixLeavesTheServerServing) {
-  auto daemon = make_server(1);
+enum class Peer { kDaemon, kWorker };
+
+class FrameHardeningTest : public ServerTest,
+                           public ::testing::WithParamInterface<Peer> {
+ protected:
+  /// Starts the peer under test on a fresh UDS path; returns the path.
+  std::string start(std::size_t max_frame = server::kDefaultMaxFrame) {
+    if (GetParam() == Peer::kDaemon) {
+      daemon_ = make_server(1, max_frame);
+      return daemon_->socket_path();
+    }
+    server::WorkerOptions options;
+    options.listen = unique_socket_path();
+    options.threads = 1;
+    options.max_frame = max_frame;
+    worker_ = std::make_unique<server::Worker>(options);
+    worker_->start();
+    return options.listen;
+  }
+
+  /// request_stop + wait on the peer under test.
+  void stop() {
+    if (daemon_) {
+      daemon_->request_stop();
+      daemon_->wait();
+    }
+    if (worker_) {
+      worker_->request_stop();
+      worker_->wait();
+    }
+  }
+
+  std::unique_ptr<server::Server> daemon_;
+  std::unique_ptr<server::Worker> worker_;
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Listener, FrameHardeningTest,
+    ::testing::Values(Peer::kDaemon, Peer::kWorker),
+    [](const ::testing::TestParamInfo<Peer>& info) {
+      return std::string(info.param == Peer::kDaemon ? "Daemon" : "Worker");
+    });
+
+TEST_P(FrameHardeningTest, EveryTruncatedFramePrefixLeavesItServing) {
+  const std::string path = start();
   const auto frame = ping_frame_bytes();
   // The serialize truncation-sweep idiom, applied to the wire: a client
-  // that dies after ANY prefix of a frame must not take the daemon down.
+  // that dies after ANY prefix of a frame must not take the process down.
   for (std::size_t keep = 0; keep < frame.size(); ++keep) {
-    const int fd = raw_connect(daemon->socket_path());
-    ASSERT_GE(fd, 0) << "daemon gone after prefix of " << keep << " bytes";
+    const int fd = raw_connect(path);
+    ASSERT_GE(fd, 0) << "listener gone after prefix of " << keep << " bytes";
     if (keep > 0) send_all(fd, frame.data(), keep);
     ::close(fd);
   }
-  // The daemon must still answer a well-formed request.
-  server::Client client(daemon->socket_path());
+  // It must still answer a well-formed request.
+  server::Client client(path);
   EXPECT_EQ(client.ping().protocol, server::kProtocolVersion);
 }
 
-TEST_F(ServerTest, WrongMagicGetsStructuredErrorFrame) {
-  auto daemon = make_server(1);
+TEST_P(FrameHardeningTest, WrongMagicGetsStructuredErrorFrame) {
+  const std::string path = start();
   auto frame = ping_frame_bytes();
   frame[0] = 'X';
-  const int fd = raw_connect(daemon->socket_path());
+  const int fd = raw_connect(path);
   ASSERT_GE(fd, 0);
   send_all(fd, frame.data(), frame.size());
   EXPECT_EQ(read_status(fd), server::Status::kBadMagic);
   ::close(fd);
 }
 
-TEST_F(ServerTest, FutureProtocolVersionGetsStructuredErrorFrame) {
-  auto daemon = make_server(1);
+TEST_P(FrameHardeningTest, FutureProtocolVersionGetsStructuredErrorFrame) {
+  const std::string path = start();
   auto frame = ping_frame_bytes();
   frame[4] = static_cast<std::uint8_t>(server::kProtocolVersion + 1);
-  const int fd = raw_connect(daemon->socket_path());
+  const int fd = raw_connect(path);
   ASSERT_GE(fd, 0);
   send_all(fd, frame.data(), frame.size());
   EXPECT_EQ(read_status(fd), server::Status::kBadVersion);
   ::close(fd);
 }
 
-TEST_F(ServerTest, OversizedFrameRejectedBeforeAllocation) {
+TEST_P(FrameHardeningTest, OversizedFrameRejectedBeforeAllocation) {
   // --max-frame 1024; the header claims 1 GiB. The structured rejection
   // must arrive BEFORE any payload is read or allocated.
-  auto daemon = make_server(1, /*max_frame=*/1024);
+  const std::string path = start(/*max_frame=*/1024);
   auto frame = ping_frame_bytes();
   const std::uint64_t huge = std::uint64_t{1} << 30;
   for (int i = 0; i < 8; ++i) {
     frame[8 + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(huge >> (8 * i));
   }
-  const int fd = raw_connect(daemon->socket_path());
+  const int fd = raw_connect(path);
   ASSERT_GE(fd, 0);
   send_all(fd, frame.data(), server::kFrameHeaderSize);  // header only
   EXPECT_EQ(read_status(fd), server::Status::kTooLarge);
   ::close(fd);
 }
 
-TEST_F(ServerTest, CorruptPayloadAnsweredAndConnectionStaysUsable) {
-  auto daemon = make_server(1);
+TEST_P(FrameHardeningTest, CorruptPayloadAnsweredAndConnectionStaysUsable) {
+  const std::string path = start();
   auto frame = ping_frame_bytes();
   frame[server::kFrameHeaderSize + 5] ^= 0x40;  // flip one payload byte
-  const int fd = raw_connect(daemon->socket_path());
+  const int fd = raw_connect(path);
   ASSERT_GE(fd, 0);
   send_all(fd, frame.data(), frame.size());
   // The framing was intact (only the archive inside is corrupt), so the
@@ -457,6 +504,20 @@ TEST_F(ServerTest, CorruptPayloadAnsweredAndConnectionStaysUsable) {
   EXPECT_EQ(read_status(fd), server::Status::kOk);
   ::close(fd);
 }
+
+TEST_P(FrameHardeningTest, StalledMidFramePeerCannotBlockShutdown) {
+  const std::string path = start();
+  const int fd = raw_connect(path);
+  ASSERT_GE(fd, 0);
+  const auto frame = ping_frame_bytes();
+  send_all(fd, frame.data(), 8);  // half a header, then go silent
+  // Give the handler time to enter the mid-frame read before stopping.
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  stop();  // must return despite the peer never finishing its frame
+  ::close(fd);
+}
+
+// --- malformed requests on the daemon ---------------------------------------
 
 TEST_F(ServerTest, UnknownRequestKindAnsweredAndConnectionStaysUsable) {
   auto daemon = make_server(1);
@@ -550,19 +611,6 @@ TEST_F(ServerTest, StopMidRequestDeliversTheInFlightResponse) {
   EXPECT_TRUE(audit_ok.load());
   struct stat status_buffer{};
   EXPECT_NE(::stat(socket_path.c_str(), &status_buffer), 0);
-}
-
-TEST_F(ServerTest, StalledMidFramePeerCannotBlockShutdown) {
-  auto daemon = make_server(1);
-  const int fd = raw_connect(daemon->socket_path());
-  ASSERT_GE(fd, 0);
-  const auto frame = ping_frame_bytes();
-  send_all(fd, frame.data(), 8);  // half a header, then go silent
-  // Give the handler time to enter the mid-frame read before stopping.
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  daemon->request_stop();
-  daemon->wait();  // must return despite the peer never finishing its frame
-  ::close(fd);
 }
 
 TEST_F(ServerTest, ClientVanishingBeforeItsResponseDoesNotKillTheDaemon) {
@@ -1165,6 +1213,33 @@ TEST_F(ServerTest, StatusReportsInflightCampaignsAndFlightRecorder) {
   EXPECT_FALSE(final_status.build_type.empty());
   daemon->request_stop();
   daemon->wait();
+}
+
+TEST_F(ServerTest, IdleDaemonStatusListsNothingInFlight) {
+  // A status poll reports on the other requests: were it listed, an idle
+  // daemon would never show zero in flight.
+  auto daemon = make_server(1);
+  server::Client client(daemon->socket_path());
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_TRUE(client.status().inflight.empty()) << "poll " << round;
+  }
+  // It is still timed and recorded: the polls above land in the
+  // server.status_us histogram and the flight recorder (a record is
+  // deposited after its reply, so poll until one shows).
+  const auto kind = static_cast<std::uint8_t>(server::RequestKind::kStatus);
+  bool recorded = false;
+  server::StatusReply status;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!recorded && std::chrono::steady_clock::now() < deadline) {
+    status = client.status();
+    for (const auto& record : status.recent) recorded |= record.kind == kind;
+  }
+  EXPECT_TRUE(recorded);
+  EXPECT_TRUE(status.inflight.empty());
+  const auto* hist = status.snapshot.find_histogram("server.status_us");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_GE(hist->count, 3u);
 }
 
 TEST_F(ServerTest, SamplerRunsOnlyWithAMetricsFile) {
