@@ -197,9 +197,11 @@ void Scheduler::drain() {
 }
 
 std::vector<CampaignProgress> Scheduler::progress() const {
-  const std::int64_t now = obs::now_ns();
   std::vector<CampaignProgress> table;
   const std::lock_guard<std::mutex> lock(mutex_);
+  // Read under the lock enqueue() stamps under: every listed enqueue_ns is
+  // then older than `now`, so no age wraps.
+  const std::int64_t now = obs::now_ns();
   table.reserve(active_.size());
   for (const auto& campaign : active_) {
     CampaignProgress row;

@@ -28,17 +28,11 @@ void write_netlist(serialize::Writer& out, const Netlist& netlist) {
 Netlist read_netlist(serialize::Reader& in) {
   in.enter_chunk("NETL");
   Netlist netlist(in.str());
-  // Check-before-allocate: a net is at least a length-prefixed name (8
-  // bytes), a gate at least 17 bytes, a port id exactly 4.
-  const std::uint64_t net_count = in.u64();
-  if (net_count > in.remaining() / 8) {
-    throw std::runtime_error("polaris netlist: net count exceeds payload");
-  }
+  // A net is at least a length-prefixed name (8 bytes), a gate at least
+  // 17 bytes, a port id exactly 4.
+  const std::uint64_t net_count = in.count(8, "netlist net");
   for (std::uint64_t n = 0; n < net_count; ++n) (void)netlist.add_net(in.str());
-  const std::uint64_t gate_count = in.u64();
-  if (gate_count > in.remaining() / 17) {
-    throw std::runtime_error("polaris netlist: gate count exceeds payload");
-  }
+  const std::uint64_t gate_count = in.count(17, "netlist gate");
   std::vector<NetId> inputs;
   for (std::uint64_t g = 0; g < gate_count; ++g) {
     const std::uint8_t raw_type = in.u8();
@@ -46,10 +40,7 @@ Netlist read_netlist(serialize::Reader& in) {
       throw std::runtime_error("polaris netlist: unknown cell type " +
                                std::to_string(raw_type));
     }
-    const std::uint64_t fan_in = in.u64();
-    if (fan_in > in.remaining() / 4) {
-      throw std::runtime_error("polaris netlist: gate fan-in exceeds payload");
-    }
+    const std::uint64_t fan_in = in.count(4, "gate fan-in");
     inputs.clear();
     inputs.reserve(fan_in);
     for (std::uint64_t i = 0; i < fan_in; ++i) inputs.push_back(in.u32());
@@ -67,15 +58,9 @@ Netlist read_netlist(serialize::Reader& in) {
     }
     netlist.gate(id).group = group;
   }
-  const std::uint64_t n_inputs = in.u64();
-  if (n_inputs > in.remaining() / 4) {
-    throw std::runtime_error("polaris netlist: input count exceeds payload");
-  }
+  const std::uint64_t n_inputs = in.count(4, "netlist input");
   for (std::uint64_t i = 0; i < n_inputs; ++i) netlist.mark_input(in.u32());
-  const std::uint64_t n_outputs = in.u64();
-  if (n_outputs > in.remaining() / 4) {
-    throw std::runtime_error("polaris netlist: output count exceeds payload");
-  }
+  const std::uint64_t n_outputs = in.count(4, "netlist output");
   // Empty rename: the serialized net names already carry the port names.
   for (std::uint64_t i = 0; i < n_outputs; ++i) netlist.mark_output(in.u32());
   in.exit_chunk();

@@ -266,36 +266,37 @@ std::string Reader::str() {
   return value;
 }
 
+std::uint64_t Reader::count(std::size_t min_item_bytes, const char* what) {
+  const std::uint64_t n = u64();
+  if (n > remaining() / min_item_bytes) {
+    fail(std::string("oversized ") + what + " count " + std::to_string(n));
+  }
+  return n;
+}
+
 std::vector<double> Reader::f64_vec() {
-  const std::uint64_t count = u64();
-  if (count > (scope_end() - pos_) / 8) fail("oversized f64 vector");
-  std::vector<double> values(count);
+  std::vector<double> values(count(8, "f64 vector"));
   for (auto& v : values) v = f64();
   return values;
 }
 
 std::vector<int> Reader::i32_vec() {
-  const std::uint64_t count = u64();
-  if (count > (scope_end() - pos_) / 4) fail("oversized i32 vector");
-  std::vector<int> values(count);
+  std::vector<int> values(count(4, "i32 vector"));
   for (auto& v : values) v = i32();
   return values;
 }
 
 std::vector<std::uint8_t> Reader::u8_vec() {
-  const std::uint64_t count = u64();
-  require(count, "u8 vector");
+  const std::uint64_t n = count(1, "u8 vector");
   std::vector<std::uint8_t> values(buffer_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                   buffer_.begin() + static_cast<std::ptrdiff_t>(pos_ + count));
-  pos_ += count;
+                                   buffer_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  pos_ += n;
   return values;
 }
 
 std::vector<bool> Reader::bool_vec() {
-  const std::uint64_t count = u64();
-  require(count, "bool vector");
-  std::vector<bool> values(count);
-  for (std::uint64_t i = 0; i < count; ++i) values[i] = buffer_[pos_++] != 0;
+  std::vector<bool> values(count(1, "bool vector"));
+  for (std::size_t i = 0; i < values.size(); ++i) values[i] = buffer_[pos_++] != 0;
   return values;
 }
 

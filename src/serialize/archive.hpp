@@ -94,10 +94,14 @@ class Reader {
   /// Skips the next chunk in the current scope entirely.
   void skip_chunk();
 
-  /// Bytes left in the current scope (chunk or archive body). Lets
-  /// artifact readers apply the check-before-allocate policy to their own
-  /// length fields, as the built-in vector readers do.
+  /// Bytes left in the current scope (chunk or archive body).
   [[nodiscard]] std::size_t remaining() const { return scope_end() - pos_; }
+  /// Reads a u64 element count, checked before anything is allocated for
+  /// it: each element takes at least `min_item_bytes` (>= 1) of the bytes
+  /// left in the scope, so a larger count throws std::runtime_error. Every
+  /// length-prefixed reader, built-in or artifact, goes through here.
+  [[nodiscard]] std::uint64_t count(std::size_t min_item_bytes,
+                                    const char* what);
 
   [[nodiscard]] std::uint8_t u8();
   [[nodiscard]] std::uint32_t u32();

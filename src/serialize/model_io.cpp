@@ -25,8 +25,9 @@ void write_tree(Writer& out, const ml::Tree& tree) {
 
 ml::Tree read_tree(Reader& in) {
   ml::Tree tree;
-  const std::uint64_t count = in.u64();
-  tree.nodes.reserve(count < 1u << 20 ? count : 0);
+  // A node is exactly 36 bytes: three i32 and three f64 fields.
+  const std::uint64_t count = in.count(36, "tree node");
+  tree.nodes.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     ml::TreeNode node;
     node.feature = in.i32();
@@ -85,16 +86,11 @@ void write_dataset(Writer& out, const ml::Dataset& data) {
 }
 
 ml::Dataset read_dataset(Reader& in) {
-  const std::uint64_t rows = in.u64();
-  const std::uint64_t width = in.u64();
-  // Check-before-allocate: a lying length field must raise the layer's
-  // clean error, not drive a giant allocation. (Legitimate data always
-  // satisfies these - the labels vector alone needs 4 bytes per row.)
-  if (width > in.remaining() / 8 ||
-      (width == 0 ? rows > in.remaining()
-                  : rows > in.remaining() / (8 * width))) {
-    throw std::runtime_error("polaris archive: oversized dataset");
-  }
+  // A row is at least its 4-byte label and 8-byte weight, a feature 8
+  // bytes. Rows are allocated one at a time as they are read, so no row
+  // can allocate more than the bytes that are left.
+  const std::uint64_t rows = in.count(12, "dataset row");
+  const std::uint64_t width = in.count(8, "dataset feature");
   std::vector<std::vector<double>> features(rows);
   for (auto& row : features) {
     row.resize(width);

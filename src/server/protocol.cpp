@@ -276,10 +276,7 @@ DesignRequest decode_design_request(serialize::Reader& in) {
   in.enter_chunk("DSGQ");
   request.fingerprint = in.u64();
   request.design.name = in.str();
-  const std::uint64_t role_count = in.u64();
-  if (role_count > in.remaining()) {  // one byte per role
-    throw std::runtime_error("polaris serve: role count exceeds payload");
-  }
+  const std::uint64_t role_count = in.count(1, "role");  // one byte each
   request.design.roles.reserve(role_count);
   for (std::uint64_t i = 0; i < role_count; ++i) {
     const std::uint8_t role = in.u8();
@@ -458,12 +455,7 @@ MaskReply decode_mask_reply(std::span<const std::uint8_t> body) {
   reply.design_name = in.str();
   reply.gate_count = in.u64();
   reply.masked_gate_count = in.u64();
-  const std::uint64_t selected = in.u64();
-  // Check-before-allocate: each gate id is 4 payload bytes.
-  if (selected > in.remaining() / 4) {
-    throw std::runtime_error("polaris serve: selected-gate count exceeds "
-                             "payload size");
-  }
+  const std::uint64_t selected = in.count(4, "selected-gate");  // u32 ids
   reply.selected.reserve(selected);
   for (std::uint64_t i = 0; i < selected; ++i) reply.selected.push_back(in.u32());
   reply.seconds = in.f64();
@@ -511,12 +503,9 @@ ShardReply decode_shard_reply(std::span<const std::uint8_t> body) {
   serialize::Reader in(std::vector<std::uint8_t>(body.begin(), body.end()));
   in.enter_chunk("SHRS");
   ShardReply reply;
-  // Check-before-allocate: a shard entry is at least its 8-byte index
-  // plus a moments chunk header and counters.
-  const std::uint64_t count = in.u64();
-  if (count > in.remaining() / 16) {
-    throw std::runtime_error("polaris serve: shard count exceeds payload");
-  }
+  // A shard entry is at least its 8-byte index plus a moments chunk
+  // header and counters.
+  const std::uint64_t count = in.count(16, "shard");
   reply.shards.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     ShardResult result;
@@ -553,14 +542,9 @@ void write_snapshot(serialize::Writer& out, const obs::Snapshot& snapshot) {
 
 obs::Snapshot read_snapshot(serialize::Reader& in) {
   obs::Snapshot snapshot;
-  // Check-before-allocate: a counter is at least a length-prefixed name
-  // plus a u64, a histogram at least four u64-sized fields, a bucket
-  // exactly 12 bytes - so hostile counts are rejected before any reserve.
-  const std::uint64_t n_counters = in.u64();
-  if (n_counters > in.remaining() / 16) {
-    throw std::runtime_error("polaris serve: snapshot counter count exceeds "
-                             "payload size");
-  }
+  // A counter is at least a length-prefixed name plus a u64, a histogram
+  // at least four u64-sized fields, a bucket exactly 12 bytes.
+  const std::uint64_t n_counters = in.count(16, "snapshot counter");
   snapshot.counters.reserve(n_counters);
   for (std::uint64_t i = 0; i < n_counters; ++i) {
     obs::CounterSnapshot counter;
@@ -568,22 +552,14 @@ obs::Snapshot read_snapshot(serialize::Reader& in) {
     counter.value = in.u64();
     snapshot.counters.push_back(std::move(counter));
   }
-  const std::uint64_t n_histograms = in.u64();
-  if (n_histograms > in.remaining() / 32) {
-    throw std::runtime_error("polaris serve: snapshot histogram count "
-                             "exceeds payload size");
-  }
+  const std::uint64_t n_histograms = in.count(32, "snapshot histogram");
   snapshot.histograms.reserve(n_histograms);
   for (std::uint64_t i = 0; i < n_histograms; ++i) {
     obs::HistogramSnapshot histogram;
     histogram.name = in.str();
     histogram.count = in.u64();
     histogram.sum = in.u64();
-    const std::uint64_t n_buckets = in.u64();
-    if (n_buckets > in.remaining() / 12) {
-      throw std::runtime_error("polaris serve: snapshot bucket count exceeds "
-                               "payload size");
-    }
+    const std::uint64_t n_buckets = in.count(12, "snapshot bucket");
     histogram.buckets.reserve(n_buckets);
     for (std::uint64_t b = 0; b < n_buckets; ++b) {
       const std::uint32_t index = in.u32();
@@ -690,15 +666,10 @@ StatusReply decode_status_reply(std::span<const std::uint8_t> body) {
   }
   in.exit_chunk();
   in.enter_chunk("INFL");
-  // Check-before-allocate, like the snapshot codec: an in-flight entry is
-  // exactly 17 payload bytes, a progress row at least a length-prefixed
-  // label plus five u64s and a bool, a flight record exactly 27 bytes -
-  // hostile counts are rejected before any reserve.
-  const std::uint64_t n_inflight = in.u64();
-  if (n_inflight > in.remaining() / 17) {
-    throw std::runtime_error("polaris serve: in-flight count exceeds "
-                             "payload size");
-  }
+  // An in-flight entry is exactly 17 payload bytes, a progress row at
+  // least a length-prefixed label plus five u64s and a bool, a flight
+  // record exactly 27 bytes.
+  const std::uint64_t n_inflight = in.count(17, "in-flight");
   reply.inflight.reserve(n_inflight);
   for (std::uint64_t i = 0; i < n_inflight; ++i) {
     InflightEntry entry;
@@ -709,11 +680,7 @@ StatusReply decode_status_reply(std::span<const std::uint8_t> body) {
   }
   in.exit_chunk();
   in.enter_chunk("PROG");
-  const std::uint64_t n_campaigns = in.u64();
-  if (n_campaigns > in.remaining() / 48) {
-    throw std::runtime_error("polaris serve: campaign count exceeds "
-                             "payload size");
-  }
+  const std::uint64_t n_campaigns = in.count(48, "campaign");
   reply.campaigns.reserve(n_campaigns);
   for (std::uint64_t i = 0; i < n_campaigns; ++i) {
     engine::CampaignProgress row;
@@ -728,11 +695,7 @@ StatusReply decode_status_reply(std::span<const std::uint8_t> body) {
   }
   in.exit_chunk();
   in.enter_chunk("FREC");
-  const std::uint64_t n_records = in.u64();
-  if (n_records > in.remaining() / 27) {
-    throw std::runtime_error("polaris serve: flight-record count exceeds "
-                             "payload size");
-  }
+  const std::uint64_t n_records = in.count(27, "flight-record");
   reply.recent.reserve(n_records);
   for (std::uint64_t i = 0; i < n_records; ++i) {
     FlightRecordEntry record;
@@ -748,11 +711,7 @@ StatusReply decode_status_reply(std::span<const std::uint8_t> body) {
   if (in.try_enter_chunk("WRKR")) {
     // A worker row is at least a length-prefixed endpoint, a bool, and
     // five u64s.
-    const std::uint64_t n_workers = in.u64();
-    if (n_workers > in.remaining() / 49) {
-      throw std::runtime_error("polaris serve: worker count exceeds "
-                               "payload size");
-    }
+    const std::uint64_t n_workers = in.count(49, "worker");
     reply.workers.reserve(n_workers);
     for (std::uint64_t i = 0; i < n_workers; ++i) {
       WorkerHealthEntry worker;

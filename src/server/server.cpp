@@ -1,8 +1,6 @@
 #include "server/server.hpp"
 
-#include <algorithm>
-#include <array>
-#include <initializer_list>
+#include <atomic>
 #include <utility>
 
 #include "netlist/verilog.hpp"
@@ -11,43 +9,11 @@
 
 namespace polaris::server {
 
-namespace {
-
-std::uint64_t combine_all(std::uint64_t key,
-                          std::initializer_list<std::uint64_t> values) {
-  for (const auto value : values) key = core::ResultCache::combine(key, value);
-  return key;
-}
-
-/// Per-request-type service-time histogram "server.<kind>_us" (request
-/// decode + compute + cache lookup; frame I/O excluded), one per kind
-/// decode_request_kind accepts, all registered on first use.
-obs::Histogram& request_histogram(RequestKind kind) {
-  using Table =
-      std::array<obs::Histogram*,
-                 static_cast<std::size_t>(RequestKind::kShard) + 1>;
-  static const Table table = [] {
-    Table histograms{};
-    for (std::size_t i = 0; i < histograms.size(); ++i) {
-      if (i == kRetiredStatsKind) continue;
-      histograms[i] = &obs::Registry::global().histogram(
-          std::string("server.") +
-          request_kind_name(static_cast<RequestKind>(i)) + "_us");
-    }
-    return histograms;
-  }();
-  return *table[static_cast<std::size_t>(kind)];
-}
-
-}  // namespace
-
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       polaris_(core::Polaris::load_bundle(options_.bundle_path, &info_)),
       scheduler_(options_.threads),
       cache_(options_.cache_capacity),
-      recorder_(options_.flight_records,
-                static_cast<std::uint64_t>(options_.slow_request_ms) * 1000),
       sampler_(obs::Registry::global(),
                obs::Sampler::Options{options_.sample_interval_ms,
                                      options_.metrics_file}),
@@ -94,41 +60,24 @@ ServerStats Server::stats() const {
 }
 
 bool Server::handle_payload(int fd, std::vector<std::uint8_t>& payload) {
-  static auto& request_errors =
-      obs::Registry::global().counter("server.request_errors");
   Status status = Status::kOk;
   std::string message;
   bool cache_hit = false;
   bool keep_open = true;
   core::ResultCache::Body body;
-  // Per-kind service time: decode through compute/cache lookup, known only
-  // once the kind decoded - an undecodable payload records nowhere.
-  obs::Histogram* service_us = nullptr;
-  const std::uint64_t payload_bytes = payload.size();
-  // 0xFF marks "payload never yielded a kind" in the flight recorder; it
-  // can never collide with a real RequestKind (decode rejects > kShard).
-  std::uint8_t wire_kind = 0xFF;
-  const char* kind_name = "?";
-  const std::uint64_t token = next_inflight_token_.fetch_add(1);
-  bool tracked = false;
-  const std::int64_t t0 = obs::now_ns();
+  RequestLog::Request request;
+  request.bytes = payload.size();
+  request.start_ns = obs::now_ns();
   obs::Span span("request", "server");
   try {
     serialize::Reader in(std::move(payload));
     const RequestKind kind = decode_request_kind(in);
-    service_us = &request_histogram(kind);
-    wire_kind = static_cast<std::uint8_t>(kind);
-    kind_name = request_kind_name(kind);
+    request.kind = static_cast<std::uint8_t>(kind);
+    const char* kind_name = request_kind_name(kind);
     span.arg("kind", kind_name);
-    if (kind != RequestKind::kStatus) {
-      // Visible to status requests from here until just before the reply
-      // frame is written - the decode-to-encode span the flight recorder
-      // times, so "in flight" and duration_us describe the same window. A
-      // status poll is not listed: it would always report itself.
-      const std::lock_guard<std::mutex> lock(inflight_mutex_);
-      inflight_.emplace(token, Inflight{wire_kind, payload_bytes, t0});
-      tracked = true;
-    }
+    // A status poll is not listed in flight: it would always report
+    // itself. It still reaches the recent ring through finish().
+    if (kind != RequestKind::kStatus) log_.begin(request);
     if (listener_.stopping() && kind != RequestKind::kPing &&
         kind != RequestKind::kShutdown) {
       throw ServerError(Status::kShuttingDown, to_string(Status::kShuttingDown));
@@ -167,30 +116,15 @@ bool Server::handle_payload(int fd, std::vector<std::uint8_t>& payload) {
     message = error.what();
     body.reset();
   }
-  if (status != Status::kOk) request_errors.add();
-  const auto elapsed_us =
-      static_cast<std::uint64_t>((obs::now_ns() - t0) / 1000);
-  if (service_us != nullptr) service_us->record(elapsed_us);
   span.arg("status", to_string(status)).arg("cache_hit", cache_hit);
-  // Untrack BEFORE the reply write: the reply may throw (torn peer), and
-  // an entry that outlives its handler would sit in the status table
-  // forever.
-  if (tracked) {
-    const std::lock_guard<std::mutex> lock(inflight_mutex_);
-    inflight_.erase(token);
-  }
+  // Recorded BEFORE the reply write: a status poll finds the request in
+  // one table or the other at every instant, and a reply that throws (the
+  // client timed out or hung up) still leaves its record.
+  log_.finish(request, status, cache_hit);
   const std::span<const std::uint8_t> body_span =
       body ? std::span<const std::uint8_t>(*body)
            : std::span<const std::uint8_t>();
   listener_.reply(fd, encode_response(status, message, cache_hit, body_span));
-  FlightRecorder::Record record;
-  record.kind = wire_kind;
-  record.status = static_cast<std::uint8_t>(status);
-  record.cache_hit = cache_hit;
-  record.bytes = payload_bytes;
-  record.duration_us = elapsed_us;
-  record.completed_ns = obs::now_ns();
-  recorder_.record(record, kind_name);
   return keep_open;
 }
 
@@ -210,7 +144,6 @@ core::ResultCache::Body Server::serve_ping() {
 }
 
 core::ResultCache::Body Server::serve_status() {
-  const std::int64_t now = obs::now_ns();
   const obs::RuntimeInfo runtime = obs::runtime_info();
   StatusReply reply;
   reply.model_name = info_.model_name;
@@ -222,42 +155,14 @@ core::ResultCache::Body Server::serve_status() {
   reply.connections_total = listener_.connections_total();
   reply.connections_active = listener_.connections_active();
   reply.uptime_ms =
-      static_cast<std::uint64_t>((now - start_mono_ns_) / 1'000'000);
+      static_cast<std::uint64_t>((obs::now_ns() - start_mono_ns_) / 1'000'000);
   reply.sample_interval_ms = options_.sample_interval_ms;
   reply.samples = sampler_.samples();
-  {
-    const std::lock_guard<std::mutex> lock(inflight_mutex_);
-    reply.inflight.reserve(inflight_.size());
-    for (const auto& [token, request] : inflight_) {
-      InflightEntry entry;
-      entry.kind = request.kind;
-      entry.bytes = request.bytes;
-      entry.age_us =
-          static_cast<std::uint64_t>((now - request.start_ns) / 1000);
-      reply.inflight.push_back(entry);
-    }
-  }
-  // Oldest first: the map iterates in hash order, which would shuffle the
-  // table between polls.
-  std::sort(reply.inflight.begin(), reply.inflight.end(),
-            [](const InflightEntry& a, const InflightEntry& b) {
-              return a.age_us > b.age_us;
-            });
+  RequestLog::Tables tables = log_.snapshot();
+  reply.inflight = std::move(tables.inflight);
+  reply.recent = std::move(tables.recent);
   reply.campaigns = scheduler_.progress();
   if (pool_) reply.workers = pool_->health();
-  const auto records = recorder_.recent();
-  reply.recent.reserve(records.size());
-  for (const auto& record : records) {
-    FlightRecordEntry entry;
-    entry.kind = record.kind;
-    entry.status = record.status;
-    entry.cache_hit = record.cache_hit;
-    entry.bytes = record.bytes;
-    entry.duration_us = record.duration_us;
-    entry.age_us =
-        static_cast<std::uint64_t>((now - record.completed_ns) / 1000);
-    reply.recent.push_back(entry);
-  }
   reply.snapshot = obs::Registry::global().snapshot();
   return std::make_shared<const std::vector<std::uint8_t>>(
       encode_status_reply(reply));
@@ -304,134 +209,122 @@ core::ResultCache::Body Server::serve_audit_stream(int fd,
 core::ResultCache::Body Server::audit_body(const AuditRequest& request,
                                            bool& cache_hit,
                                            tvla::ProgressFn progress) {
-  circuits::Design design;
   try {
     core::validate(request.config);
-    design = circuits::load_design(request.design, request.scale);
   } catch (const std::exception& error) {
     throw ServerError(Status::kBadRequest, error.what());
   }
   // Streaming and non-streaming audits share one cache key (the compute
   // and the reply bytes are identical); a streamed request that hits the
   // cache replays the final body and emits zero partial frames.
-  const std::uint64_t key = combine_all(
-      core::config_fingerprint(request.config),
-      {core::design_fingerprint(design),
-       static_cast<std::uint64_t>(RequestKind::kAudit)});
-  if (auto cached = cache_.get(key)) {
-    cache_hit = true;
-    return cached;
-  }
-  try {
-    tvla::LeakageReport report{{}, {}, 0.0};
-    if (pool_) {
-      // Distributed backend: same shards, same ascending merge, same
-      // bits - which is exactly why the cache key above is unchanged.
-      report = pool_->audit({&design, 1}, lib_, request.config,
-                            std::move(progress))[0];
-    } else {
-      auto pending = core::submit_audits(scheduler_, {&design, 1}, lib_,
-                                         request.config, std::move(progress));
-      scheduler_.drain();
-      report = pending[0].get();
-    }
-    AuditReply reply;
-    reply.design_name = design.name;
-    reply.gate_count = design.netlist.gate_count();
-    reply.traces = request.config.tvla.traces;
-    reply.report = std::move(report);
-    reply.traces_used = reply.report.traces_used();
-    reply.early_stopped = reply.report.early_stopped();
-    auto body = std::make_shared<const std::vector<std::uint8_t>>(
-        encode_audit_reply(reply));
-    cache_.put(key, body);
-    return body;
-  } catch (const std::exception& error) {
-    throw ServerError(Status::kServerError, error.what());
-  }
+  return cached_body(
+      request.design, request.scale, core::config_fingerprint(request.config),
+      {static_cast<std::uint64_t>(RequestKind::kAudit)}, cache_hit,
+      [&](const circuits::Design& design) {
+        tvla::LeakageReport report{{}, {}, 0.0};
+        if (pool_) {
+          // Distributed backend: same shards, same ascending merge, same
+          // bits - which is exactly why the cache key is unchanged.
+          report = pool_->audit({&design, 1}, lib_, request.config,
+                                std::move(progress))[0];
+        } else {
+          auto pending = core::submit_audits(scheduler_, {&design, 1}, lib_,
+                                             request.config,
+                                             std::move(progress));
+          scheduler_.drain();
+          report = pending[0].get();
+        }
+        AuditReply reply;
+        reply.design_name = design.name;
+        reply.gate_count = design.netlist.gate_count();
+        reply.traces = request.config.tvla.traces;
+        reply.report = std::move(report);
+        reply.traces_used = reply.report.traces_used();
+        reply.early_stopped = reply.report.early_stopped();
+        return encode_audit_reply(reply);
+      });
 }
 
 core::ResultCache::Body Server::serve_mask(serialize::Reader& in,
                                            bool& cache_hit) {
   const MaskRequest request = decode_mask_request(in);
-  circuits::Design design;
-  try {
-    design = circuits::load_design(request.design, request.scale);
-  } catch (const std::exception& error) {
-    throw ServerError(Status::kBadRequest, error.what());
-  }
   const std::size_t mask_size =
       request.mask_size != 0 ? request.mask_size : polaris_.config().mask_size;
-  const std::uint64_t key = combine_all(
-      info_.config_fingerprint,
-      {core::design_fingerprint(design),
-       static_cast<std::uint64_t>(RequestKind::kMask), mask_size,
+  return cached_body(
+      request.design, request.scale, info_.config_fingerprint,
+      {static_cast<std::uint64_t>(RequestKind::kMask), mask_size,
        static_cast<std::uint64_t>(request.mode),
-       static_cast<std::uint64_t>(request.verify)});
-  if (auto cached = cache_.get(key)) {
-    cache_hit = true;
-    return cached;
-  }
-  try {
-    auto outcome = polaris_.mask_design(design, lib_, mask_size, request.mode,
-                                        /*verify=*/false);
-    MaskReply reply;
-    reply.design_name = design.name;
-    reply.gate_count = design.netlist.gate_count();
-    reply.masked_gate_count = outcome.masked.gate_count();
-    reply.selected = std::move(outcome.selected);
-    reply.seconds = outcome.seconds;
-    reply.verilog = netlist::to_verilog(outcome.masked);
-    if (request.verify) {
-      // Sign-off campaigns (before on the original, after on the masked
-      // netlist) drain the shared queue together, interleaved with every
-      // other client's shards.
-      const auto tvla_config = core::tvla_config_for(polaris_.config(), design);
-      auto before = tvla::submit(
-          scheduler_, std::make_shared<tvla::ShardRunner>(design.netlist, lib_,
-                                                          tvla_config),
-          design.name + ":before");
-      auto after = tvla::submit(
-          scheduler_, std::make_shared<tvla::ShardRunner>(outcome.masked, lib_,
-                                                          tvla_config),
-          design.name + ":after");
-      scheduler_.drain();
-      reply.before = before.get();
-      reply.after = after.get();
-    }
-    auto body = std::make_shared<const std::vector<std::uint8_t>>(
-        encode_mask_reply(reply));
-    cache_.put(key, body);
-    return body;
-  } catch (const std::exception& error) {
-    throw ServerError(Status::kServerError, error.what());
-  }
+       static_cast<std::uint64_t>(request.verify)},
+      cache_hit, [&](const circuits::Design& design) {
+        auto outcome = polaris_.mask_design(design, lib_, mask_size,
+                                            request.mode, /*verify=*/false);
+        MaskReply reply;
+        reply.design_name = design.name;
+        reply.gate_count = design.netlist.gate_count();
+        reply.masked_gate_count = outcome.masked.gate_count();
+        reply.selected = std::move(outcome.selected);
+        reply.seconds = outcome.seconds;
+        reply.verilog = netlist::to_verilog(outcome.masked);
+        if (request.verify) {
+          // Sign-off campaigns (before on the original, after on the
+          // masked netlist) drain the shared queue together, interleaved
+          // with every other client's shards.
+          const auto tvla_config =
+              core::tvla_config_for(polaris_.config(), design);
+          auto before = tvla::submit(
+              scheduler_,
+              std::make_shared<tvla::ShardRunner>(design.netlist, lib_,
+                                                  tvla_config),
+              design.name + ":before");
+          auto after = tvla::submit(
+              scheduler_,
+              std::make_shared<tvla::ShardRunner>(outcome.masked, lib_,
+                                                  tvla_config),
+              design.name + ":after");
+          scheduler_.drain();
+          reply.before = before.get();
+          reply.after = after.get();
+        }
+        return encode_mask_reply(reply);
+      });
 }
 
 core::ResultCache::Body Server::serve_score(serialize::Reader& in,
                                             bool& cache_hit) {
   const ScoreRequest request = decode_score_request(in);
+  return cached_body(
+      request.design, request.scale, info_.config_fingerprint,
+      {static_cast<std::uint64_t>(RequestKind::kScore),
+       static_cast<std::uint64_t>(request.mode)},
+      cache_hit, [&](const circuits::Design& design) {
+        ScoreReply reply;
+        reply.design_name = design.name;
+        reply.scores = polaris_.score_gates(design, request.mode);
+        return encode_score_reply(reply);
+      });
+}
+
+core::ResultCache::Body Server::cached_body(
+    const std::string& design_name, double scale, std::uint64_t key_seed,
+    std::initializer_list<std::uint64_t> key_parts, bool& cache_hit,
+    const std::function<std::vector<std::uint8_t>(const circuits::Design&)>&
+        compute) {
   circuits::Design design;
   try {
-    design = circuits::load_design(request.design, request.scale);
+    design = circuits::load_design(design_name, scale);
   } catch (const std::exception& error) {
     throw ServerError(Status::kBadRequest, error.what());
   }
-  const std::uint64_t key = combine_all(
-      info_.config_fingerprint,
-      {core::design_fingerprint(design),
-       static_cast<std::uint64_t>(RequestKind::kScore),
-       static_cast<std::uint64_t>(request.mode)});
+  std::uint64_t key =
+      core::ResultCache::combine(key_seed, core::design_fingerprint(design));
+  for (const auto part : key_parts) key = core::ResultCache::combine(key, part);
   if (auto cached = cache_.get(key)) {
     cache_hit = true;
     return cached;
   }
   try {
-    ScoreReply reply;
-    reply.design_name = design.name;
-    reply.scores = polaris_.score_gates(design, request.mode);
     auto body = std::make_shared<const std::vector<std::uint8_t>>(
-        encode_score_reply(reply));
+        compute(design));
     cache_.put(key, body);
     return body;
   } catch (const std::exception& error) {

@@ -17,23 +17,22 @@
 // the socket file is unlinked.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/polaris.hpp"
 #include "core/result_cache.hpp"
 #include "engine/scheduler.hpp"
 #include "obs/sampler.hpp"
-#include "server/flight_recorder.hpp"
 #include "server/listener.hpp"
 #include "server/net.hpp"
 #include "server/protocol.hpp"
 #include "server/remote.hpp"
+#include "server/request_log.hpp"
 #include "techlib/techlib.hpp"
 
 namespace polaris::server {
@@ -57,8 +56,6 @@ struct ServerOptions {
   std::size_t sample_interval_ms = 1000;  // metrics-file period, 0 = off
   std::string metrics_file;  // append one JSON delta line per interval;
                              // empty = the sampler never runs
-  std::size_t flight_records = 64;       // completed-request ring depth
-  std::size_t slow_request_ms = 1000;    // log threshold, 0 = never log
 };
 
 struct ServerStats {
@@ -111,8 +108,8 @@ class Server {
 
   core::ResultCache::Body serve_ping();
   /// Live-operations snapshot: runtime identity, registry snapshot,
-  /// in-flight requests, per-campaign scheduler progress, flight-recorder
-  /// ring. Never cached: it is execution telemetry and changes between
+  /// the request log's in-flight and recent tables, per-campaign scheduler
+  /// progress. Never cached: it is execution telemetry and changes between
   /// any two calls.
   core::ResultCache::Body serve_status();
   core::ResultCache::Body serve_audit(serialize::Reader& in, bool& cache_hit);
@@ -123,11 +120,20 @@ class Server {
   /// cache entries (a cache hit streams zero partials).
   core::ResultCache::Body serve_audit_stream(int fd, serialize::Reader& in,
                                              bool& cache_hit);
-  /// Shared audit implementation behind both kinds: validate, cache
-  /// lookup, submit + drain, encode, cache fill.
+  /// Shared audit implementation behind both kinds: validate, then the
+  /// cached path with submit + drain as its compute step.
   core::ResultCache::Body audit_body(const AuditRequest& request,
                                      bool& cache_hit,
                                      tvla::ProgressFn progress);
+  /// The cached path every design request takes: load the design (a
+  /// failure is kBadRequest), key it as `key_seed` combined with its
+  /// design fingerprint and then `key_parts`, replay a cached body, or
+  /// run `compute` (a throw is kServerError) and cache the encoded reply.
+  core::ResultCache::Body cached_body(
+      const std::string& design_name, double scale, std::uint64_t key_seed,
+      std::initializer_list<std::uint64_t> key_parts, bool& cache_hit,
+      const std::function<std::vector<std::uint8_t>(const circuits::Design&)>&
+          compute);
   core::ResultCache::Body serve_mask(serialize::Reader& in, bool& cache_hit);
   core::ResultCache::Body serve_score(serialize::Reader& in, bool& cache_hit);
 
@@ -139,20 +145,9 @@ class Server {
   /// Non-null when --workers was given: audits run distributed.
   std::unique_ptr<WorkerPool> pool_;
   core::ResultCache cache_;
-  FlightRecorder recorder_;
+  RequestLog log_;
   obs::Sampler sampler_;
   std::int64_t start_mono_ns_ = 0;  // obs::now_ns() at construction
-
-  /// Requests currently being serviced (decoded, not yet answered), keyed
-  /// by a per-request token so concurrent handlers never collide.
-  struct Inflight {
-    std::uint8_t kind = 0;
-    std::uint64_t bytes = 0;
-    std::int64_t start_ns = 0;
-  };
-  std::mutex inflight_mutex_;
-  std::unordered_map<std::uint64_t, Inflight> inflight_;
-  std::atomic<std::uint64_t> next_inflight_token_{0};
 
   /// Last member: destroyed first, so destroying a running daemon drains
   /// it while the state its handlers use is still alive.

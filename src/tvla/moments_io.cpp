@@ -1,7 +1,5 @@
 #include "tvla/moments_io.hpp"
 
-#include <stdexcept>
-
 namespace polaris::tvla {
 
 namespace {
@@ -47,14 +45,9 @@ CampaignMoments read_moments(serialize::Reader& in) {
   in.enter_chunk(kMomentsTag);
   const std::uint64_t n_fixed = in.u64();
   const std::uint64_t n_random = in.u64();
-  // Check-before-allocate: a single group is exactly 16 payload bytes, a
-  // multi group two 24-byte accumulators - hostile counts are rejected
-  // before any reserve.
-  const std::uint64_t groups = in.u64();
-  if (groups > in.remaining() / 16) {
-    throw std::runtime_error("polaris tvla: moments group count exceeds "
-                             "payload size");
-  }
+  // A single group is exactly 16 payload bytes, a multi group two 24-byte
+  // accumulators.
+  const std::uint64_t groups = in.count(16, "moments group");
   std::vector<std::pair<std::uint64_t, std::uint64_t>> singles;
   singles.reserve(groups);
   for (std::uint64_t g = 0; g < groups; ++g) {
@@ -62,11 +55,7 @@ CampaignMoments read_moments(serialize::Reader& in) {
     const std::uint64_t random = in.u64();
     singles.emplace_back(fixed, random);
   }
-  const std::uint64_t multis = in.u64();
-  if (multis > in.remaining() / 48) {
-    throw std::runtime_error("polaris tvla: moments multi-group count "
-                             "exceeds payload size");
-  }
+  const std::uint64_t multis = in.count(48, "moments multi-group");
   CampaignMoments moments(static_cast<std::size_t>(groups),
                           static_cast<std::size_t>(multis));
   moments.add_lane_counts(n_fixed, n_random);

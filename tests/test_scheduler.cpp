@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "circuits/aes_sbox.hpp"
@@ -444,6 +447,46 @@ TEST(Scheduler, ProgressTableTracksCampaignsMonotonically) {
   // Finalized campaigns leave the table - a drained scheduler shows
   // nothing in flight.
   EXPECT_TRUE(scheduler.progress().empty());
+}
+
+TEST(Scheduler, ProgressAgesNeverWrapWhileCampaignsArrive) {
+  // A poll that read its clock before taking the lock enqueue() stamps
+  // under could see a campaign stamped after that clock: the negative age
+  // wrapped to about 1.8e19 us. Poll for 200 ms while two threads keep
+  // submitting (and draining, so the table stays small); the contended
+  // lock is what delays a poll past a later stamp.
+  engine::Scheduler scheduler(1);
+  std::atomic<bool> polling{true};
+  auto submit_loop = [&scheduler, &polling] {
+    while (polling.load()) {
+      std::vector<std::future<int>> pending;
+      for (int i = 0; i < 256; ++i) {
+        pending.push_back(scheduler.submit<XorState>(
+            2, per_batch(2, XorState{}, [](XorState&, std::size_t) {}),
+            [](XorState&, XorState&&) {}, [](XorState&&) { return 0; },
+            /*weight=*/2, "arrival"));
+      }
+      scheduler.drain();
+      for (auto& result : pending) (void)result.get();
+    }
+  };
+  std::thread first(submit_loop);
+  std::thread second(submit_loop);
+  std::size_t rows = 0;
+  std::uint64_t oldest_us = 0;
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+  while (std::chrono::steady_clock::now() < until) {
+    for (const auto& row : scheduler.progress()) {
+      ++rows;
+      oldest_us = std::max(oldest_us, row.age_us);
+    }
+  }
+  polling.store(false);
+  first.join();
+  second.join();
+  EXPECT_GT(rows, 0u);
+  EXPECT_LT(oldest_us, std::uint64_t{3'600'000'000});  // under one hour
 }
 
 }  // namespace

@@ -6,13 +6,18 @@
 
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <string_view>
 
 #include "ml/adaboost.hpp"
 #include "ml/decision_tree.hpp"
 #include "ml/forest.hpp"
 #include "ml/gbdt.hpp"
+#include "netlist/netlist_io.hpp"
 #include "serialize/model_io.hpp"
+#include "server/protocol.hpp"
+#include "tvla/moments_io.hpp"
 #include "util/rng.hpp"
 #include "xai/rules.hpp"
 
@@ -316,6 +321,213 @@ TEST(Archive, OversizedVectorCountFails) {
   serialize::Reader in(out.finish());
   in.enter_chunk("EVIL");
   EXPECT_THROW((void)in.f64_vec(), std::runtime_error);
+}
+
+/// One length-prefixed field: `write` emits an archive whose count at that
+/// field is 2^62, `decode` runs the decoder that reads it.
+struct HugeCountCase {
+  const char* field;
+  std::function<void(serialize::Writer&)> write;
+  std::function<void(std::vector<std::uint8_t>)> decode;
+};
+
+constexpr std::uint64_t kHugeCount = std::uint64_t{1} << 62;
+
+void pad(serialize::Writer& out) {
+  for (int i = 0; i < 8; ++i) out.u64(0);
+}
+
+/// Decodes a bare archive body with a Reader-taking decoder.
+template <class Decode>
+std::function<void(std::vector<std::uint8_t>)> from_reader(Decode decode) {
+  return [decode](std::vector<std::uint8_t> bytes) {
+    serialize::Reader in(std::move(bytes));
+    (void)decode(in);
+  };
+}
+
+/// A status body with valid, empty chunks up to the one tagged `tag`,
+/// which the caller writes.
+void status_up_to(serialize::Writer& out, std::string_view tag) {
+  out.begin_chunk("STAT");
+  out.u32(1);
+  out.str("m");
+  for (int i = 0; i < 6; ++i) out.u64(0);
+  out.end_chunk();
+  for (const char* table : {"INFL", "PROG", "FREC"}) {
+    if (tag == table) return;
+    out.begin_chunk(table);
+    out.u64(0);
+    out.end_chunk();
+  }
+}
+
+void status_table(serialize::Writer& out, const char* tag) {
+  status_up_to(out, tag);
+  out.begin_chunk(tag);
+  out.u64(kHugeCount);
+  pad(out);
+  out.end_chunk();
+}
+
+void decode_status(std::vector<std::uint8_t> bytes) {
+  (void)server::decode_status_reply(bytes);
+}
+
+/// A netlist chunk whose first `zeros` counts are 0, then the huge one.
+void netlist_counts(serialize::Writer& out, int zeros) {
+  out.begin_chunk("NETL");
+  out.str("n");
+  for (int i = 0; i < zeros; ++i) out.u64(0);
+  out.u64(kHugeCount);
+  pad(out);
+  out.end_chunk();
+}
+
+TEST(Archive, EveryDecoderRejectsAHugeCountBeforeAllocating) {
+  // The one check-before-allocate rule (Reader::count): a count of 2^62
+  // must raise the archive's clean std::runtime_error at every
+  // length-prefixed field, never std::bad_alloc or std::length_error.
+  const std::vector<HugeCountCase> cases = {
+      {"f64 vector", [](auto& out) { out.u64(kHugeCount); },
+       from_reader([](auto& in) { return in.f64_vec(); })},
+      {"i32 vector", [](auto& out) { out.u64(kHugeCount); },
+       from_reader([](auto& in) { return in.i32_vec(); })},
+      {"u8 vector", [](auto& out) { out.u64(kHugeCount); },
+       from_reader([](auto& in) { return in.u8_vec(); })},
+      {"bool vector", [](auto& out) { out.u64(kHugeCount); },
+       from_reader([](auto& in) { return in.bool_vec(); })},
+      {"tree node", [](auto& out) { out.u64(kHugeCount); pad(out); },
+       from_reader([](auto& in) { return serialize::read_tree(in); })},
+      {"dataset row",
+       [](auto& out) {
+         out.u64(kHugeCount);
+         out.u64(1);
+         pad(out);
+       },
+       from_reader([](auto& in) { return serialize::read_dataset(in); })},
+      {"dataset feature",
+       [](auto& out) {
+         out.u64(1);
+         out.u64(kHugeCount);
+         pad(out);
+       },
+       from_reader([](auto& in) { return serialize::read_dataset(in); })},
+      {"netlist net", [](auto& out) { netlist_counts(out, 0); },
+       from_reader([](auto& in) { return netlist::read_netlist(in); })},
+      {"netlist gate", [](auto& out) { netlist_counts(out, 1); },
+       from_reader([](auto& in) { return netlist::read_netlist(in); })},
+      {"gate fan-in",
+       [](auto& out) {
+         out.begin_chunk("NETL");
+         out.str("n");
+         out.u64(0);  // nets
+         out.u64(1);  // gates
+         out.u8(static_cast<std::uint8_t>(netlist::CellType::kInput));
+         out.u64(kHugeCount);
+         pad(out);
+         out.end_chunk();
+       },
+       from_reader([](auto& in) { return netlist::read_netlist(in); })},
+      {"netlist input", [](auto& out) { netlist_counts(out, 2); },
+       from_reader([](auto& in) { return netlist::read_netlist(in); })},
+      {"netlist output", [](auto& out) { netlist_counts(out, 3); },
+       from_reader([](auto& in) { return netlist::read_netlist(in); })},
+      {"moments group",
+       [](auto& out) {
+         out.begin_chunk("MOM2");
+         out.u64(0);
+         out.u64(0);
+         out.u64(kHugeCount);
+         pad(out);
+         out.end_chunk();
+       },
+       from_reader([](auto& in) { return tvla::read_moments(in); })},
+      {"moments multi-group",
+       [](auto& out) {
+         out.begin_chunk("MOM2");
+         out.u64(0);
+         out.u64(0);
+         out.u64(0);
+         out.u64(kHugeCount);
+         pad(out);
+         out.end_chunk();
+       },
+       from_reader([](auto& in) { return tvla::read_moments(in); })},
+      {"design role",
+       [](auto& out) {
+         out.begin_chunk("DSGQ");
+         out.u64(0);
+         out.str("d");
+         out.u64(kHugeCount);
+         pad(out);
+         out.end_chunk();
+       },
+       from_reader(
+           [](auto& in) { return server::decode_design_request(in); })},
+      {"mask selected gate",
+       [](auto& out) {
+         out.begin_chunk("MSKS");
+         out.str("d");
+         out.u64(0);
+         out.u64(0);
+         out.u64(kHugeCount);
+         pad(out);
+         out.end_chunk();
+       },
+       [](std::vector<std::uint8_t> bytes) {
+         (void)server::decode_mask_reply(bytes);
+       }},
+      {"shard",
+       [](auto& out) {
+         out.begin_chunk("SHRS");
+         out.u64(kHugeCount);
+         pad(out);
+         out.end_chunk();
+       },
+       [](std::vector<std::uint8_t> bytes) {
+         (void)server::decode_shard_reply(bytes);
+       }},
+      {"status in-flight", [](auto& out) { status_table(out, "INFL"); },
+       decode_status},
+      {"status campaign", [](auto& out) { status_table(out, "PROG"); },
+       decode_status},
+      {"status recent", [](auto& out) { status_table(out, "FREC"); },
+       decode_status},
+      {"status worker", [](auto& out) { status_table(out, "WRKR"); },
+       decode_status},
+      {"snapshot counter", [](auto& out) { status_table(out, "SNAP"); },
+       decode_status},
+      {"snapshot histogram",
+       [](auto& out) {
+         status_up_to(out, "SNAP");
+         out.begin_chunk("SNAP");
+         out.u64(0);
+         out.u64(kHugeCount);
+         pad(out);
+         out.end_chunk();
+       },
+       decode_status},
+      {"snapshot bucket",
+       [](auto& out) {
+         status_up_to(out, "SNAP");
+         out.begin_chunk("SNAP");
+         out.u64(0);  // counters
+         out.u64(1);  // histograms
+         out.str("h");
+         out.u64(0);
+         out.u64(0);
+         out.u64(kHugeCount);
+         pad(out);
+         out.end_chunk();
+       },
+       decode_status},
+  };
+  for (const auto& c : cases) {
+    serialize::Writer out;
+    c.write(out);
+    EXPECT_THROW(c.decode(out.finish()), std::runtime_error) << c.field;
+  }
 }
 
 // --- artifact round-trips ---------------------------------------------------

@@ -10,6 +10,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -27,7 +28,7 @@
 #include "obs/obs.hpp"
 #include "serialize/archive.hpp"
 #include "server/client.hpp"
-#include "server/flight_recorder.hpp"
+#include "server/request_log.hpp"
 #include "server/server.hpp"
 #include "server/worker.hpp"
 #include "techlib/techlib.hpp"
@@ -537,6 +538,13 @@ TEST_F(ServerTest, UnknownRequestKindAnsweredAndConnectionStaysUsable) {
   send_all(fd, good.data(), good.size());
   EXPECT_EQ(read_status(fd), server::Status::kOk);
   ::close(fd);
+  // The payload that never yielded a kind is recorded under kUndecoded.
+  server::Client client(daemon->socket_path());
+  const auto recent = client.status().recent;
+  ASSERT_EQ(recent.size(), 2u);  // newest first: the ping, then the payload
+  EXPECT_EQ(recent[1].kind, server::RequestLog::kUndecoded);
+  EXPECT_EQ(recent[1].status,
+            static_cast<std::uint8_t>(server::Status::kBadPayload));
 }
 
 TEST_F(ServerTest, RetiredStatsKindAnsweredAndConnectionStaysUsable) {
@@ -1072,41 +1080,86 @@ TEST(ServeProtocol, EveryTruncatedStatusReplyPrefixFailsCleanly) {
   EXPECT_EQ(back.snapshot.counter_value("cache.hits"), 3u);
 }
 
-TEST(FlightRecorder, RingEvictsOldestAndListsNewestFirst) {
-  server::FlightRecorder recorder(3);
-  EXPECT_EQ(recorder.capacity(), 3u);
-  EXPECT_TRUE(recorder.recent().empty());
-  for (std::uint8_t i = 0; i < 5; ++i) {
-    server::FlightRecorder::Record record;
-    record.kind = i;
-    record.bytes = 10u * i;
-    recorder.record(record, "ping");
-  }
-  const auto recent = recorder.recent();
-  ASSERT_EQ(recent.size(), 3u);
-  EXPECT_EQ(recent[0].kind, 4);  // newest first
-  EXPECT_EQ(recent[1].kind, 3);
-  EXPECT_EQ(recent[2].kind, 2);
-  EXPECT_EQ(recent[0].bytes, 40u);
+/// A request as the daemon stamps it on arrival.
+server::RequestLog::Request log_request(server::RequestKind kind,
+                                        std::uint64_t bytes,
+                                        std::int64_t start_ns = obs::now_ns()) {
+  server::RequestLog::Request request;
+  request.kind = static_cast<std::uint8_t>(kind);
+  request.bytes = bytes;
+  request.start_ns = start_ns;
+  return request;
 }
 
-TEST(FlightRecorder, SlowThresholdCountsOnlySlowRequests) {
+TEST(RequestLog, FinishMovesARequestFromInflightToRecentInOneStep) {
+  server::RequestLog log;
+  EXPECT_TRUE(log.snapshot().inflight.empty());
+  EXPECT_TRUE(log.snapshot().recent.empty());
+  auto request = log_request(server::RequestKind::kAudit, 7);
+  log.begin(request);
+  auto tables = log.snapshot();
+  ASSERT_EQ(tables.inflight.size(), 1u);
+  EXPECT_EQ(tables.inflight[0].bytes, 7u);
+  EXPECT_TRUE(tables.recent.empty());
+  log.finish(request, server::Status::kOk, /*cache_hit=*/true);
+  tables = log.snapshot();
+  EXPECT_TRUE(tables.inflight.empty());
+  ASSERT_EQ(tables.recent.size(), 1u);
+  EXPECT_EQ(tables.recent[0].kind,
+            static_cast<std::uint8_t>(server::RequestKind::kAudit));
+  EXPECT_EQ(tables.recent[0].status,
+            static_cast<std::uint8_t>(server::Status::kOk));
+  EXPECT_TRUE(tables.recent[0].cache_hit);
+  EXPECT_EQ(tables.recent[0].bytes, 7u);
+}
+
+TEST(RequestLog, RingEvictsOldestAndListsNewestFirst) {
+  server::RequestLog log;
+  constexpr std::size_t kDepth = server::RequestLog::kDepth;
+  for (std::size_t i = 0; i < kDepth + 2; ++i) {
+    // Never begun, like a status poll or an undecodable payload.
+    log.finish(log_request(server::RequestKind::kPing, i),
+               server::Status::kOk, false);
+  }
+  const auto recent = log.snapshot().recent;
+  ASSERT_EQ(recent.size(), kDepth);
+  EXPECT_EQ(recent[0].bytes, kDepth + 1);  // newest first
+  EXPECT_EQ(recent[1].bytes, kDepth);
+  EXPECT_EQ(recent.back().bytes, 2u);      // the two oldest were evicted
+}
+
+TEST(RequestLog, SlowThresholdCountsOnlySlowRequests) {
   auto& slow = obs::Registry::global().counter("server.slow_requests");
   const std::uint64_t before = slow.value();
-  server::FlightRecorder recorder(8, /*slow_threshold_us=*/1000);
-  server::FlightRecorder::Record record;
-  record.kind = 1;
-  record.duration_us = 999;  // under threshold: silent
-  recorder.record(record, "audit");
+  server::RequestLog log;
+  log.finish(log_request(server::RequestKind::kAudit, 1), server::Status::kOk,
+             false);  // microseconds old: silent
   EXPECT_EQ(slow.value(), before);
-  record.duration_us = 1000;  // at threshold: logged + counted
-  recorder.record(record, "audit");
+  const std::int64_t slow_start =
+      obs::now_ns() -
+      static_cast<std::int64_t>(server::RequestLog::kSlowUs) * 1000;
+  log.finish(log_request(server::RequestKind::kAudit, 1, slow_start),
+             server::Status::kOk, false);  // past the threshold: counted
   EXPECT_EQ(slow.value(), before + 1);
-  // Threshold 0 disables the slow path entirely.
-  server::FlightRecorder quiet(8, 0);
-  record.duration_us = 1u << 30;
-  quiet.record(record, "audit");
-  EXPECT_EQ(slow.value(), before + 1);
+  EXPECT_GE(log.snapshot().recent[0].duration_us,
+            server::RequestLog::kSlowUs);
+}
+
+TEST(RequestLog, StampNewerThanTheSnapshotClockReportsAgeZero) {
+  // A stamp from after the clock a reader holds must read as age 0, not
+  // as a negative difference wrapped to about 1.8e19 us.
+  server::RequestLog log;
+  auto request = log_request(server::RequestKind::kMask, 3,
+                             obs::now_ns() + std::int64_t{60'000'000'000});
+  log.begin(request);
+  const auto tables = log.snapshot();
+  ASSERT_EQ(tables.inflight.size(), 1u);
+  EXPECT_EQ(tables.inflight[0].age_us, 0u);
+  log.finish(request, server::Status::kOk, false);
+  const auto recent = log.snapshot().recent;
+  ASSERT_EQ(recent.size(), 1u);
+  EXPECT_EQ(recent[0].duration_us, 0u);
+  EXPECT_LT(recent[0].age_us, std::uint64_t{3'600'000'000});
 }
 
 TEST_F(ServerTest, StatusReportsInflightCampaignsAndFlightRecorder) {
@@ -1171,31 +1224,25 @@ TEST_F(ServerTest, StatusReportsInflightCampaignsAndFlightRecorder) {
     EXPECT_TRUE(client.audit(request).cache_hit);
   }
 
-  // The flight recorder must hold both completed audits - one miss (with
+  // The request log must hold both completed audits - one miss (with
   // real compute time) and one hit - and its cache_hit flags must agree
-  // with the cache.hits counter delta over the same window. The record is
-  // deposited after the reply frame is written, so a client can briefly
-  // outrun its own record: poll until both appear.
+  // with the cache.hits counter delta over the same window. A request is
+  // recorded before its reply is written, so one poll finds both.
   bool miss_recorded = false;
   bool hit_recorded = false;
-  while (!(miss_recorded && hit_recorded) &&
-         std::chrono::steady_clock::now() < deadline) {
-    miss_recorded = hit_recorded = false;
-    for (const auto& record : poll.status().recent) {
-      if (record.kind !=
-          static_cast<std::uint8_t>(server::RequestKind::kAudit)) {
-        continue;
-      }
-      EXPECT_EQ(record.status, static_cast<std::uint8_t>(server::Status::kOk));
-      EXPECT_GT(record.bytes, 0u);
-      if (record.cache_hit) {
-        hit_recorded = true;
-      } else {
-        miss_recorded = true;
-        EXPECT_GT(record.duration_us, 0u);
-      }
+  for (const auto& record : poll.status().recent) {
+    if (record.kind !=
+        static_cast<std::uint8_t>(server::RequestKind::kAudit)) {
+      continue;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(record.status, static_cast<std::uint8_t>(server::Status::kOk));
+    EXPECT_GT(record.bytes, 0u);
+    if (record.cache_hit) {
+      hit_recorded = true;
+    } else {
+      miss_recorded = true;
+      EXPECT_GT(record.duration_us, 0u);
+    }
   }
   EXPECT_TRUE(miss_recorded);
   EXPECT_TRUE(hit_recorded);
@@ -1224,22 +1271,82 @@ TEST_F(ServerTest, IdleDaemonStatusListsNothingInFlight) {
     EXPECT_TRUE(client.status().inflight.empty()) << "poll " << round;
   }
   // It is still timed and recorded: the polls above land in the
-  // server.status_us histogram and the flight recorder (a record is
-  // deposited after its reply, so poll until one shows).
+  // server.status_us histogram and the recent ring (each before its reply
+  // went out, so the next poll lists them).
   const auto kind = static_cast<std::uint8_t>(server::RequestKind::kStatus);
+  const server::StatusReply status = client.status();
   bool recorded = false;
-  server::StatusReply status;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!recorded && std::chrono::steady_clock::now() < deadline) {
-    status = client.status();
-    for (const auto& record : status.recent) recorded |= record.kind == kind;
-  }
+  for (const auto& record : status.recent) recorded |= record.kind == kind;
   EXPECT_TRUE(recorded);
   EXPECT_TRUE(status.inflight.empty());
   const auto* hist = status.snapshot.find_histogram("server.status_us");
   ASSERT_NE(hist, nullptr);
   EXPECT_GE(hist->count, 3u);
+}
+
+TEST_F(ServerTest, FirstStatusAfterAReplyListsThatRequest) {
+  // The request is recorded before its reply is written: once the reply
+  // is in hand, the very next status lists it, with no polling.
+  auto daemon = make_server(1);
+  server::Client client(daemon->socket_path());
+  server::AuditRequest request;
+  request.design = "square";
+  request.scale = 0.3;
+  request.config = audit_config();
+  request.config.tvla.seed = 5151;  // fresh key: a miss
+  ASSERT_FALSE(client.audit(request).cache_hit);
+  server::Client poll(daemon->socket_path());
+  const auto status = poll.status();
+  ASSERT_FALSE(status.recent.empty());
+  const auto& newest = status.recent.front();
+  EXPECT_EQ(newest.kind,
+            static_cast<std::uint8_t>(server::RequestKind::kAudit));
+  EXPECT_EQ(newest.status, static_cast<std::uint8_t>(server::Status::kOk));
+  EXPECT_FALSE(newest.cache_hit);
+  EXPECT_TRUE(status.inflight.empty());
+}
+
+TEST_F(ServerTest, AbandonedAuditIsRecordedAsCompleted) {
+  // A client that gives up (--timeout-ms) and hangs up leaves a reply the
+  // daemon cannot deliver. The audit still ran and its body is cached, so
+  // the log must list it as a completed, uncached, ok audit.
+  auto daemon = make_server(1);
+  server::AuditRequest request;
+  request.design = "des3";
+  request.scale = 1.0;
+  request.config = audit_config();
+  request.config.tvla.traces = 262144;  // ~0.6 s serial: far past 50 ms
+  request.config.tvla.seed = 6161;
+  {
+    server::Client impatient(daemon->socket_path(), /*timeout_ms=*/50);
+    EXPECT_THROW((void)impatient.audit(request), server::TimeoutError);
+  }  // closes the connection: the daemon's reply write fails
+
+  const auto audit = static_cast<std::uint8_t>(server::RequestKind::kAudit);
+  server::Client poll(daemon->socket_path());
+  server::StatusReply status;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  bool busy = true;
+  while (busy && std::chrono::steady_clock::now() < deadline) {
+    status = poll.status();
+    busy = std::any_of(status.inflight.begin(), status.inflight.end(),
+                       [&](const auto& entry) { return entry.kind == audit; });
+    if (busy) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_FALSE(busy) << "the audit never finished";
+  std::size_t recorded = 0;
+  for (const auto& record : status.recent) {
+    if (record.kind != audit) continue;
+    ++recorded;
+    EXPECT_EQ(record.status, static_cast<std::uint8_t>(server::Status::kOk));
+    EXPECT_FALSE(record.cache_hit);
+    EXPECT_GT(record.duration_us, 0u);
+  }
+  EXPECT_EQ(recorded, 1u);
+  // Its body was cached: the same request now hits.
+  server::Client client(daemon->socket_path());
+  EXPECT_TRUE(client.audit(request).cache_hit);
 }
 
 TEST_F(ServerTest, SamplerRunsOnlyWithAMetricsFile) {

@@ -43,10 +43,6 @@ int cmd_serve(std::span<const char* const> args) {
        "append one JSON metrics-delta line per sample interval"},
       {"sample-interval-ms", true,
        "--metrics-file line period in ms, 0 disables (default 1000)"},
-      {"slow-request-ms", true,
-       "log requests slower than this, 0 disables (default 1000)"},
-      {"flight-records", true,
-       "completed requests kept for 'client status' (default 64)"},
       {"help", false, "show this help"},
   };
   const ParsedFlags flags(args, specs);
@@ -67,8 +63,6 @@ int cmd_serve(std::span<const char* const> args) {
   options.cache_capacity = flags.get_size("cache-capacity", 256);
   options.metrics_file = flags.get("metrics-file", "");
   options.sample_interval_ms = flags.get_size("sample-interval-ms", 1000);
-  options.slow_request_ms = flags.get_size("slow-request-ms", 1000);
-  options.flight_records = flags.get_size("flight-records", 64);
 
   server::Server daemon(options);
   const auto& info = daemon.bundle_info();
